@@ -41,6 +41,7 @@ from .expressions import (
     ParseError,
     parse as parse_expression,
     to_text,
+    worst_residual,
 )
 from .geometry import (
     PotentialSpec,
@@ -272,11 +273,10 @@ def _cmd_check(args) -> int:
     box = _parse_box(args.box)
     points = sample_points(spec, box, args.samples, seed=args.seed)
     results = []
-    worst = 0.0
     for pt in points:
         residual = pde_residual(spec, lam, pt, relative=True)
-        worst = max(worst, abs(residual))
         results.append({"point": list(pt), "relative_residual": residual})
+    worst = worst_residual(abs(r["relative_residual"]) for r in results)
     passed = worst < PDE_TOLERANCE
     est = None
     try:
@@ -286,7 +286,7 @@ def _cmd_check(args) -> int:
             "lambda_estimate": est.estimate,
             "lambda_deviation": est.deviation,
         }
-    except (ExpressionError, ValueError, ZeroDivisionError):
+    except (ExpressionError, ValueError):
         summary = {"max_relative_residual": worst}
     input_desc.update({"lambda": lam, "box": list(box), "samples": args.samples})
     payload = _report(args.seed, input_desc, [summary] + results, passed)

@@ -27,9 +27,11 @@ with one Richardson extrapolation level.
 from __future__ import annotations
 
 import math
+import operator
+import struct
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -486,6 +488,134 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
     raise TypeError(f"not an expression: {e!r}")
 
 
+# -- compiled evaluation -----------------------------------------------------
+
+def _tape_pow(base: float, expo: float) -> float:
+    if base < 0.0 and not _is_integral(expo):
+        raise ValueError("negative base with non-integer exponent")
+    return base ** expo
+
+
+#: Instruction per operator, keyed by node type or function name.
+_TAPE_OPS: dict = {
+    Neg: operator.neg,
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Pow: _tape_pow,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+    "sin": math.sin,
+    "cos": math.cos,
+}
+
+
+class _Untapeable(Exception):
+    """A node the tape has no instruction for; the tree walk handles it."""
+
+
+def _operands(node: Expr) -> tuple:
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base, node.exponent)
+    return ()
+
+
+def _tape_key(node: Expr, operands: list[int]) -> tuple:
+    """Structural key of a node whose operands already have value numbers."""
+    if isinstance(node, Num):
+        return (Num, struct.pack("<d", node.value))  # 0.0 and -0.0 stay apart
+    if isinstance(node, Var) or (isinstance(node, Const) and node.name in CONSTANTS):
+        return (type(node), node.name)
+    op = node.func if isinstance(node, Call) else type(node)
+    if op not in _TAPE_OPS:
+        raise _Untapeable
+    return (op, *operands)
+
+
+def _value_number(exprs: tuple[Expr, ...]) -> tuple[list[tuple], list[int]]:
+    """Keys of the distinct subexpressions in dependency order, and the
+    value number of each root.
+
+    The walk is iterative and remembers nodes by identity, so a subtree
+    shared by reference is visited once; equal subtrees that are distinct
+    objects still share a number through their keys.
+    """
+    numbers: dict[tuple, int] = {}
+    number_of: dict[int, int] = {}
+    roots = []
+    for root in exprs:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in number_of:
+                stack.pop()
+                continue
+            children = _operands(node)
+            pending = [c for c in children if id(c) not in number_of]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            key = _tape_key(node, [number_of[id(c)] for c in children])
+            number_of[id(node)] = numbers.setdefault(key, len(numbers))
+        roots.append(number_of[id(root)])
+    return list(numbers), roots
+
+
+def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, ...]]:
+    """Compile expressions into one instruction tape with shared subexpressions.
+
+    The returned callable maps bindings to the same floats, bit for bit, as
+    ``tuple(evaluate(e, bindings) for e in exprs)``: every distinct
+    subexpression gets one slot and is computed once, in dependency order,
+    with the operations :func:`evaluate` uses.  When an instruction raises
+    or a guard trips (a negative base with a non-integral exponent), the
+    call re-runs :func:`evaluate`, so every error and the subtree it
+    carries are the tree walk's own.
+    """
+    exprs = tuple(exprs)
+
+    def walk(bindings: Bindings) -> tuple[float, ...]:
+        return tuple(evaluate(e, bindings) for e in exprs)
+
+    try:
+        keys, roots = _value_number(exprs)
+    except _Untapeable:
+        return walk
+    template: list = [None] * len(keys)
+    names = []
+    tape = []
+    for slot, (op, *args) in enumerate(keys):
+        if op is Var:
+            names.append((slot, args[0]))
+        elif op is Num:
+            template[slot] = struct.unpack("<d", args[0])[0]
+        elif op is Const:
+            template[slot] = CONSTANTS[args[0]]
+        else:
+            tape.append((slot, _TAPE_OPS[op], args[0], args[1] if len(args) > 1 else -1))
+    tape = tuple(tape)
+
+    def run(bindings: Bindings) -> tuple[float, ...]:
+        try:
+            values = template[:]
+            for slot, name in names:
+                values[slot] = float(bindings[name])
+            for slot, fn, a, b in tape:
+                values[slot] = fn(values[a]) if b < 0 else fn(values[a], values[b])
+            return tuple([values[r] for r in roots])
+        except Exception:
+            return walk(bindings)
+
+    return run
+
+
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     """Replace every occurrence of variable ``name`` by ``replacement``."""
     if isinstance(e, Var):
@@ -817,3 +947,17 @@ def finite_difference(e: Expr, name: str, bindings: Bindings, order: int) -> flo
             best_estimate = estimate
             best = value
     return best
+
+
+# -- residuals ---------------------------------------------------------------
+
+def worst_residual(residuals: Iterable[float]) -> float:
+    """Largest residual (0.0 for none), or NaN when any residual is NaN.
+
+    Plain ``max`` keeps a NaN only when it comes first, which would let a
+    check pass on a point where nothing could be computed.
+    """
+    values = list(residuals)
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=0.0)

@@ -16,7 +16,7 @@ routes must agree for metrics that come from a potential.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
@@ -28,6 +28,7 @@ from .expressions import (
     ExpressionError,
     Num,
     Var,
+    compile_family,
     differentiate,
     evaluate,
     free_variables,
@@ -51,6 +52,7 @@ class SingularMetricError(ExpressionError):
 Point = Sequence[float]
 
 
+@lru_cache(maxsize=None)
 def _theta_names(dimension: int) -> tuple[str, ...]:
     return tuple(f"theta{i + 1}" for i in range(dimension))
 
@@ -82,6 +84,19 @@ class PotentialSpec:
     constants: tuple[tuple[str, float], ...] = ()
     constraints: tuple[Expr, ...] = ()
     expected_lambda: float | None = None
+
+    def __hash__(self) -> int:
+        # specs key every derivative cache: hash their trees once, not per lookup
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so never pickle the cache
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @classmethod
     def create(
@@ -119,13 +134,18 @@ class PotentialSpec:
 
     def in_domain(self, point: Point) -> bool:
         b = self.bindings(point)
-        for constraint in resolved_constraints(self):
-            try:
-                if evaluate(constraint, b) <= 0.0:
+        try:
+            values = _constraint_tape(self)(b)
+        except Exception:
+            # the tree walk stops at the first failing constraint
+            for constraint in resolved_constraints(self):
+                try:
+                    if evaluate(constraint, b) <= 0.0:
+                        return False
+                except ExpressionError:
                     return False
-            except ExpressionError:
-                return False
-        return True
+            return True
+        return not any(value <= 0.0 for value in values)
 
 
 def _resolve(e: Expr, constants: tuple[tuple[str, float], ...]) -> Expr:
@@ -142,6 +162,11 @@ def resolved_potential(spec: PotentialSpec) -> Expr:
 @lru_cache(maxsize=None)
 def resolved_constraints(spec: PotentialSpec) -> tuple[Expr, ...]:
     return tuple(_resolve(c, spec.constants) for c in spec.constraints)
+
+
+@lru_cache(maxsize=None)
+def _constraint_tape(spec: PotentialSpec):
+    return compile_family(resolved_constraints(spec))
 
 
 @dataclass(frozen=True)

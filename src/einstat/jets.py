@@ -36,6 +36,7 @@ from .expressions import (
     parse,
     simplify,
     substitute,
+    worst_residual,
 )
 
 MAX_JET_ORDER = 4
@@ -315,7 +316,7 @@ def lsc_check(
     terms = prolonged_action_terms(gen, equation)
     base = substitute(equation, leading, Num(0.0))
 
-    worst = 0.0
+    residuals = []
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         bindings = None
@@ -337,8 +338,8 @@ def lsc_check(
             product = evaluate(coeff, bindings) * evaluate(partial, bindings)
             total += product
             magnitude += abs(product)
-        residual = abs(total) / max(1.0, magnitude)
-        worst = max(worst, residual)
+        residuals.append(abs(total) / max(1.0, magnitude))
+    worst = worst_residual(residuals)
     return LscReport(gen.name, label, samples, worst, tolerance, worst < tolerance)
 
 
@@ -372,8 +373,7 @@ def invariance_check(
         (gen.xi_x, simplify(differentiate(function, "x"))),
         (gen.eta, simplify(differentiate(function, "u"))),
     ]
-    worst = 0.0
-    evaluated = 0
+    residuals = []
     skipped = 0
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
@@ -388,8 +388,9 @@ def invariance_check(
         except ExpressionError:
             skipped += 1
             continue
-        evaluated += 1
-        worst = max(worst, abs(total) / max(1.0, magnitude))
+        residuals.append(abs(total) / max(1.0, magnitude))
+    evaluated = len(residuals)
+    worst = worst_residual(residuals)
     passed = evaluated > 0 and worst < tolerance
     return InvarianceReport(gen.name, samples, evaluated, skipped, worst, tolerance, passed)
 

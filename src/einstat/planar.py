@@ -25,11 +25,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .expressions import Expr, ExpressionError, differentiate, evaluate, simplify
+from .expressions import (
+    Expr,
+    ExpressionError,
+    compile_family,
+    differentiate,
+    simplify,
+)
 from .geometry import (
+    MetricField,
     PotentialSpec,
     SINGULARITY_THRESHOLD,
     SingularMetricError,
+    _require_in_domain,
     resolved_potential,
 )
 
@@ -76,15 +84,22 @@ def _third_partials(spec: PotentialSpec) -> tuple[Expr, Expr, Expr, Expr]:
     )
 
 
+@lru_cache(maxsize=None)
+def _hessian_tape(spec: PotentialSpec):
+    return compile_family(_second_partials(spec))
+
+
+@lru_cache(maxsize=None)
+def _third_tape(spec: PotentialSpec):
+    return compile_family(_third_partials(spec))
+
+
 def _hessian_values(spec: PotentialSpec, point) -> tuple[float, float, float]:
-    b = spec.bindings(point)
-    ptt, ptx, pxx = _second_partials(spec)
-    return evaluate(ptt, b), evaluate(ptx, b), evaluate(pxx, b)
+    return _hessian_tape(spec)(spec.bindings(point))
 
 
 def _third_values(spec: PotentialSpec, point) -> tuple[float, float, float, float]:
-    b = spec.bindings(point)
-    return tuple(evaluate(e, b) for e in _third_partials(spec))
+    return _third_tape(spec)(spec.bindings(point))
 
 
 def _curvature_numerator(h2, h3) -> float:
@@ -97,19 +112,21 @@ def _curvature_numerator(h2, h3) -> float:
     )
 
 
-def r1212(spec: PotentialSpec, point) -> float:
-    """The single curvature component of the Hessian metric at a point."""
+def _checked_curvature(spec: PotentialSpec, point) -> tuple[float, float]:
+    """R1212 and det(g) at an in-domain point where the metric is not singular."""
     _require_planar(spec)
-    if not spec.in_domain(point):
-        from .expressions import DomainError
-
-        raise DomainError("point violates the domain constraints", resolved_potential(spec))
+    _require_in_domain(spec, point)
     h2 = _hessian_values(spec, point)
     det = h2[0] * h2[2] - h2[1] ** 2
     scale = max(abs(v) for v in h2)
     if scale == 0.0 or abs(det) <= SINGULARITY_THRESHOLD * scale ** 2:
         raise SingularMetricError(f"metric is numerically singular (det={det:.3e})")
-    return _curvature_numerator(h2, _third_values(spec, point)) / (4.0 * det)
+    return _curvature_numerator(h2, _third_values(spec, point)) / (4.0 * det), det
+
+
+def r1212(spec: PotentialSpec, point) -> float:
+    """The single curvature component of the Hessian metric at a point."""
+    return _checked_curvature(spec, point)[0]
 
 
 def pde_residual(spec: PotentialSpec, lam: float, point, relative: bool = False) -> float:
@@ -118,9 +135,11 @@ def pde_residual(spec: PotentialSpec, lam: float, point, relative: bool = False)
     Returns ``LHS - 4 lam det(g)^2`` where LHS is the third-order cubic
     expression above.  With ``relative=True`` the residual is divided by
     ``max(|LHS|, |4 lam det^2|, 1)`` so tolerances compare across
-    potentials of very different magnitude.
+    potentials of very different magnitude.  A singular metric is allowed;
+    a point outside the domain raises :class:`DomainError`.
     """
     _require_planar(spec)
+    _require_in_domain(spec, point)
     h2 = _hessian_values(spec, point)
     det = h2[0] * h2[2] - h2[1] ** 2
     lhs = _curvature_numerator(h2, _third_values(spec, point))
@@ -249,16 +268,11 @@ def lambda_estimate(spec: PotentialSpec, points) -> LambdaEstimate:
     """Mean and spread of ``-kappa`` over the sample points.
 
     A small deviation certifies constant sectional curvature on the
-    sample, with the constant equal to the estimate.
+    sample, with the constant equal to the estimate.  Like :func:`r1212`,
+    it raises :class:`DomainError` outside the domain and
+    :class:`SingularMetricError` where the metric is singular.
     """
-    _require_planar(spec)
-    values = []
-    for pt in points:
-        h2 = _hessian_values(spec, pt)
-        det = h2[0] * h2[2] - h2[1] ** 2
-        curv = _curvature_numerator(h2, _third_values(spec, pt)) / (4.0 * det)
-        kappa = -curv / det
-        values.append(-kappa)
+    values = [curv / det for curv, det in (_checked_curvature(spec, pt) for pt in points)]
     if len(values) < 2:
         raise ValueError("need at least two valid sample points")
     estimate = math.fsum(values) / len(values)
@@ -267,9 +281,13 @@ def lambda_estimate(spec: PotentialSpec, points) -> LambdaEstimate:
 
 
 def sample_points(
-    spec: PotentialSpec, box: Box, count: int, seed: int = DEFAULT_SEED
+    spec: PotentialSpec | MetricField, box: Box, count: int, seed: int = DEFAULT_SEED
 ) -> list[tuple[float, float]]:
-    """Draw in-domain points uniformly from the box by rejection."""
+    """Draw in-domain points uniformly from the box by rejection.
+
+    Raises :class:`SamplingError` when fewer than ``count`` points are
+    found within the attempt budget.
+    """
     _require_planar(spec)
     t0, t1, x0, x1 = map(float, box)
     rng = np.random.default_rng(seed)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from einstat import catalog
 from einstat.catalog import (
     CHECK_EINSTEIN,
     CHECK_PDE_RESIDUAL,
@@ -95,6 +97,14 @@ class TestVerification:
                 continue  # no inverse metric exists for the degenerate entry
             pts = sample_points(entry.potential, entry.box, 25, seed=1)
             assert max(abs(r1212(entry.potential, pt)) for pt in pts) < 1e-9
+
+    def test_metric_box_without_domain_points_fails(self, monkeypatch):
+        # t, x > 0 nowhere in this box: the check must fail, not pass vacuously
+        entry = dataclasses.replace(get_entry("weibull-metric"), box=(-3.0, -1.0, -3.0, -1.0))
+        monkeypatch.setitem(catalog._ENTRIES, "weibull-metric", entry)
+        report = verify_entry("weibull-metric")
+        assert not report.passed
+        assert "could not draw 100 in-domain points" in report.checks[0].detail["error"]
 
     def test_report_serializes(self):
         report = verify_entry("product-cosh")

@@ -1,12 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from einstat.catalog import entry_names, get_entry
 from einstat.expressions import (
     Add,
     Const,
     DomainError,
+    Mul,
     Neg,
     Num,
     ParseError,
@@ -15,6 +18,8 @@ from einstat.expressions import (
     UnboundVariableError,
     UnknownFunctionError,
     Var,
+    _value_number,
+    compile_family,
     differentiate,
     evaluate,
     finite_difference,
@@ -23,7 +28,10 @@ from einstat.expressions import (
     simplify,
     substitute,
     to_text,
+    worst_residual,
 )
+from einstat.geometry import resolved_constraints
+from einstat.planar import _second_partials, _third_partials, sample_points
 
 NORMAL_PSI = "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2"
 
@@ -261,3 +269,82 @@ class TestFiniteDifference:
                 expected = evaluate(sym, b)
                 got = finite_difference(e, "t", b, order)
                 assert abs(expected - got) / max(1.0, abs(expected)) < 1e-6
+
+
+class TestCompiledFamily:
+    """The tape must give the tree walk's floats, bit for bit, and its errors."""
+
+    @staticmethod
+    def bits(values):
+        return [struct.pack("<d", v) for v in values]
+
+    @pytest.mark.parametrize("name", [n for n in entry_names() if get_entry(n).kind == "potential"])
+    def test_catalog_families_match_evaluate_bitwise(self, name):
+        entry = get_entry(name)
+        spec = entry.potential
+        families = (
+            _second_partials(spec),
+            _third_partials(spec),
+            resolved_constraints(spec),
+        )
+        tapes = [compile_family(family) for family in families]
+        for point in sample_points(spec, entry.box, entry.samples, seed=42):
+            b = spec.bindings(point)
+            for family, tape in zip(families, tapes):
+                expected = tuple(evaluate(e, b) for e in family)
+                assert self.bits(tape(b)) == self.bits(expected)
+
+    @pytest.mark.parametrize(
+        "text, bindings",
+        [
+            ("1/(x - 1)", {"x": 1.0}),
+            ("(x - 1)^(0 - 2)", {"x": 1.0}),
+            ("x^0.5", {"x": -4.0}),
+            ("ln(x - 1)", {"x": 0.5}),
+            ("sqrt(x)", {"x": -1.0}),
+            ("exp(x*1000)", {"x": 1.0}),
+            ("(x*10)^400", {"x": 10.0}),
+            ("sin(x*1e308*1e308)", {"x": 1.0}),
+            ("x + y", {"x": 1.0}),
+        ],
+    )
+    def test_errors_are_the_tree_walks(self, text, bindings):
+        e = parse(text)
+        with pytest.raises(Exception) as walked:
+            evaluate(e, bindings)
+        with pytest.raises(Exception) as taped:
+            compile_family([parse("x*2"), e])(bindings)
+        assert type(taped.value) is type(walked.value)
+        assert str(taped.value) == str(walked.value)
+        assert getattr(taped.value, "subtree", None) == getattr(walked.value, "subtree", None)
+
+    def test_signed_zeros_survive(self):
+        # Num(0.0) == Num(-0.0), so the tape keys numbers by bit pattern
+        x = Var("x")
+        family = [Mul(x, Num(0.0)), Mul(x, Num(-0.0)), Neg(x)]
+        b = {"x": 0.0}
+        taped = compile_family(family)(b)
+        assert self.bits(taped) == self.bits([evaluate(e, b) for e in family])
+        assert [math.copysign(1.0, v) for v in taped] == [1.0, -1.0, -1.0]
+
+    def test_equal_subtrees_share_one_slot(self):
+        # distinct but equal objects: x, y, x*y, x*y + x*y
+        keys, roots = _value_number((Add(Mul(Var("x"), Var("y")), Mul(Var("x"), Var("y"))),))
+        assert len(keys) == 4
+        assert roots == [3]
+
+    def test_deep_sum_compiles_iteratively(self):
+        deep = Num(0.0)
+        for k in range(5000):
+            deep = Add(deep, Num(float(k)))
+        assert compile_family([deep])({}) == (float(sum(range(5000))),)
+
+
+class TestWorstResidual:
+    def test_nan_anywhere_wins(self):
+        assert math.isnan(worst_residual([math.nan, 1.0]))
+        assert math.isnan(worst_residual([1.0, math.nan]))
+
+    def test_largest_or_zero(self):
+        assert worst_residual([0.5, 2.0, 1.0]) == 2.0
+        assert worst_residual([]) == 0.0

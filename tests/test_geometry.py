@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +54,23 @@ class TestPotentialSpec:
     def test_in_domain(self):
         assert NORMAL.in_domain((0.0, -1.0))
         assert not NORMAL.in_domain((0.0, 1.0))
+
+    def test_in_domain_stops_at_first_failing_constraint(self):
+        # the second constraint raises ValueError (sin of inf) at x = 1, but
+        # the first already fails there, so the answer is False, not an error
+        spec = PotentialSpec.create(
+            "guarded", 2, "t^2 + x^2", constraints=["-x", "sin(x*1e308*1e308)"]
+        )
+        assert spec.in_domain((0.0, 1.0)) is False
+
+    def test_hash_is_cached_and_consistent_with_equality(self):
+        twin = PotentialSpec.create(
+            "normal-natural", 2, "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2",
+            constraints=["-x"], expected_lambda=0.5,
+        )
+        assert twin == NORMAL and hash(twin) == hash(NORMAL)
+        assert "_hash" in vars(twin)
+        assert "_hash" not in pickle.loads(pickle.dumps(twin)).__dict__
 
 
 class TestFisherMetric:

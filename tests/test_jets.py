@@ -233,6 +233,13 @@ class TestInvariance:
         report = invariance_check(gen, parse("x"), seed=42)
         assert not report.passed
 
+    def test_nan_residual_fails(self):
+        # exp(400+t)^2 overflows, so X(f) is inf - inf = NaN at every sample
+        f = parse("u*(exp(400+t)*exp(400+t) - exp(400+t)*exp(399+t)*exp(1) + 1)")
+        report = invariance_check(HEAT_GENERATORS["H3"], f, seed=42)
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+
 
 class TestRegistry:
     def test_generator_lookup(self):

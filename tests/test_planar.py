@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from einstat.expressions import DomainError
 from einstat.geometry import PotentialSpec, SingularMetricError, alpha_curvature
 from einstat.planar import (
     CONVEX,
@@ -77,6 +78,11 @@ class TestPdeResidual:
 
     def test_quadratic_lambda_one(self):
         assert pde_residual(QUADRATIC, 1.0, (0.7, -0.3)) == pytest.approx(-4.0)
+
+    def test_outside_domain_rejected(self):
+        # x = 1 violates -x > 0; the formula alone would give 0.0 there
+        with pytest.raises(DomainError):
+            pde_residual(NORMAL, 0.5, (0.5, 1.0))
 
     def test_invariant_solution_with_stored_defaults(self):
         pts = sample_points(INVARIANT_X6AX2, (0.5, 2.0, -1.0, 1.0), 100, seed=42)
@@ -208,6 +214,16 @@ class TestLambdaEstimate:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             lambda_estimate(NORMAL, [(0.0, -1.0)])
+
+    def test_singular_metric_rejected(self):
+        # exp(t) * exp(x) has det g = 0 everywhere; no curvature constant exists
+        product = PotentialSpec.create("product-exponential", 2, "exp(t) * exp(x)")
+        with pytest.raises(SingularMetricError):
+            lambda_estimate(product, [(0.0, 0.0), (0.5, -0.5)])
+
+    def test_outside_domain_rejected(self):
+        with pytest.raises(DomainError):
+            lambda_estimate(NORMAL, [(0.0, -1.0), (0.5, 1.0)])
 
 
 class TestSampling:

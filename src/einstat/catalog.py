@@ -105,9 +105,7 @@ def _potential_entry(
     samples=100,
     note="",
 ) -> CatalogEntry:
-    spec = PotentialSpec.create(
-        name, 2, psi, constants=constants, constraints=constraints, expected_lambda=lam
-    )
+    spec = PotentialSpec.create(name, 2, psi, constants=constants, constraints=constraints)
     if checks is None:
         checks = [CHECK_CONVEXITY, CHECK_PDE_RESIDUAL, CHECK_LAMBDA]
         if flat:
@@ -338,26 +336,8 @@ def get_entry(name: str) -> CatalogEntry:
         raise KeyError(f"unknown catalog entry '{name}'") from None
 
 
-def list_entries() -> list[dict]:
-    """Deterministic summary of every entry."""
-    return [
-        {
-            "name": e.name,
-            "kind": e.kind,
-            "lambda": e.expected_lambda,
-            "flat": e.flat,
-            "box": list(e.box),
-            "samples": e.samples,
-            "checks": list(e.checks),
-            "note": e.note,
-        }
-        for e in _ENTRIES.values()
-    ]
-
-
-def entry_to_dict(entry: CatalogEntry) -> dict:
-    """JSON-ready export of one entry."""
-    out = {
+def _summary(entry: CatalogEntry) -> dict:
+    return {
         "name": entry.name,
         "kind": entry.kind,
         "lambda": entry.expected_lambda,
@@ -367,6 +347,16 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
         "checks": list(entry.checks),
         "note": entry.note,
     }
+
+
+def list_entries() -> list[dict]:
+    """Deterministic summary of every entry."""
+    return [_summary(e) for e in _ENTRIES.values()]
+
+
+def entry_to_dict(entry: CatalogEntry) -> dict:
+    """JSON-ready export of one entry: its summary plus its expressions."""
+    out = _summary(entry)
     if entry.potential is not None:
         out["expression"] = to_text(entry.potential.psi)
         out["constants"] = dict(entry.potential.constants)

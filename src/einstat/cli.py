@@ -24,8 +24,6 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .catalog import (
     entry_to_dict,
@@ -61,6 +59,7 @@ from .planar import (
     DEFAULT_SEED,
     SamplingError,
     convexity_scan,
+    grid_centers,
     lambda_estimate,
     pde_residual,
     sample_points,
@@ -173,13 +172,14 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _grid_centers(box, grid):
-    t0, t1, x0, x1 = box
-    rows, cols = grid
-    dt, dx = (t1 - t0) / rows, (x1 - x0) / cols
-    for r in range(rows):
-        for c in range(cols):
-            yield r, c, (t0 + (r + 0.5) * dt, x0 + (c + 0.5) * dx)
+def _curvature_record(pt, bundle) -> dict:
+    return {
+        "point": list(pt),
+        "kappa": bundle.sectional[(0, 1)],
+        "scalar": bundle.scalar,
+        "r1212": bundle.riemann[0, 1, 0, 1],
+        "ricci": bundle.ricci.tolist(),
+    }
 
 
 def _cmd_curvature(args) -> int:
@@ -187,67 +187,35 @@ def _cmd_curvature(args) -> int:
     results = []
     csv_rows = []
     if getattr(args, "catalog", None) is not None and get_entry(args.catalog).kind == "direct-metric":
-        metric = get_entry(args.catalog).metric
+        source = get_entry(args.catalog).metric
         input_desc = {"catalog": args.catalog, "alpha": 0.0}
 
         def bundle_at(pt):
-            return ricci_from_metric(metric, pt)
-
-        in_domain = metric.in_domain
+            return ricci_from_metric(source, pt)
     else:
-        spec, input_desc = _resolve_potential(args)
+        source, input_desc = _resolve_potential(args)
         input_desc["alpha"] = args.alpha
 
         def bundle_at(pt):
-            return alpha_curvature(spec, args.alpha, pt)
-
-        in_domain = spec.in_domain
+            return alpha_curvature(source, args.alpha, pt)
 
     if args.grid:
         grid = _parse_grid(args.grid)
-        for r, c, pt in _grid_centers(box, grid):
-            if not in_domain(pt):
+        for r, c, pt in grid_centers(box, grid):
+            if not source.in_domain(pt):
                 csv_rows.append((r, c, pt[0], pt[1], "", "", ""))
                 results.append({"point": list(pt), "error": "domain"})
                 continue
-            bundle = bundle_at(pt)
-            kappa = bundle.sectional[(0, 1)]
+            record = _curvature_record(pt, bundle_at(pt))
             csv_rows.append(
-                (r, c, pt[0], pt[1], repr(kappa), repr(bundle.scalar),
-                 repr(bundle.riemann[0, 1, 0, 1]))
+                (r, c, pt[0], pt[1], repr(record["kappa"]), repr(record["scalar"]),
+                 repr(record["r1212"]))
             )
-            results.append(
-                {
-                    "point": list(pt),
-                    "kappa": kappa,
-                    "scalar": bundle.scalar,
-                    "r1212": bundle.riemann[0, 1, 0, 1],
-                    "ricci": bundle.ricci.tolist(),
-                }
-            )
+            results.append(record)
         input_desc["grid"] = list(grid)
     else:
-        rng = np.random.default_rng(args.seed)
-        drawn = 0
-        attempts = 0
-        while drawn < args.samples and attempts < 100_000:
-            attempts += 1
-            pt = (float(rng.uniform(box[0], box[1])), float(rng.uniform(box[2], box[3])))
-            if not in_domain(pt):
-                continue
-            drawn += 1
-            bundle = bundle_at(pt)
-            results.append(
-                {
-                    "point": list(pt),
-                    "kappa": bundle.sectional[(0, 1)],
-                    "scalar": bundle.scalar,
-                    "r1212": bundle.riemann[0, 1, 0, 1],
-                    "ricci": bundle.ricci.tolist(),
-                }
-            )
-        if drawn < args.samples:
-            raise SamplingError(f"could not draw {args.samples} in-domain points")
+        for pt in sample_points(source, box, args.samples, args.seed):
+            results.append(_curvature_record(pt, bundle_at(pt)))
     input_desc["box"] = list(box)
     payload = _report(args.seed, input_desc, results, True)
     _emit(args, payload, csv_rows, ("row", "col", "t", "x", "kappa", "scalar", "r1212"))
@@ -509,6 +477,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression is nested too deeply", file=sys.stderr)
         return 2
     except (DomainError, SingularMetricError, SamplingError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -480,10 +480,10 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
             if value < 0.0:
                 raise DomainError("sqrt of negative value", e)
             return math.sqrt(value)
-        if e.func == "sin":
-            return math.sin(value)
-        if e.func == "cos":
-            return math.cos(value)
+        if e.func in ("sin", "cos"):
+            if math.isinf(value):
+                raise DomainError(f"{e.func} of infinite value", e)
+            return math.sin(value) if e.func == "sin" else math.cos(value)
         raise UnknownFunctionError(f"unknown function '{e.func}'", 0)
     raise TypeError(f"not an expression: {e!r}")
 
@@ -637,12 +637,6 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     if isinstance(e, Pow):
         return Pow(substitute(e.base, name, replacement), substitute(e.exponent, name, replacement))
     raise TypeError(f"not an expression: {e!r}")
-
-
-def substitute_all(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    for name, replacement in mapping.items():
-        e = substitute(e, name, replacement)
-    return e
 
 
 # -- differentiation ---------------------------------------------------------

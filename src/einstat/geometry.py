@@ -83,7 +83,6 @@ class PotentialSpec:
     psi: Expr
     constants: tuple[tuple[str, float], ...] = ()
     constraints: tuple[Expr, ...] = ()
-    expected_lambda: float | None = None
 
     def __hash__(self) -> int:
         # specs key every derivative cache: hash their trees once, not per lookup
@@ -106,14 +105,13 @@ class PotentialSpec:
         psi: Union[str, Expr],
         constants: Mapping[str, float] | None = None,
         constraints: Sequence[Union[str, Expr]] = (),
-        expected_lambda: float | None = None,
     ) -> "PotentialSpec":
         consts = tuple(sorted((k, float(v)) for k, v in (constants or {}).items()))
         psi_expr = _normalize_aliases(_as_expr(psi), dimension)
         constraint_exprs = tuple(
             _normalize_aliases(_as_expr(c), dimension) for c in constraints
         )
-        spec = cls(name, dimension, psi_expr, consts, constraint_exprs, expected_lambda)
+        spec = cls(name, dimension, psi_expr, consts, constraint_exprs)
         allowed = set(_theta_names(dimension))
         unknown = free_variables(resolved_potential(spec)) - allowed
         if unknown:
@@ -137,15 +135,23 @@ class PotentialSpec:
         try:
             values = _constraint_tape(self)(b)
         except Exception:
-            # the tree walk stops at the first failing constraint
-            for constraint in resolved_constraints(self):
-                try:
-                    if evaluate(constraint, b) <= 0.0:
-                        return False
-                except ExpressionError:
-                    return False
-            return True
+            return _satisfies(resolved_constraints(self), b)
         return not any(value <= 0.0 for value in values)
+
+
+def _satisfies(constraints: Sequence[Expr], bindings: Mapping[str, float]) -> bool:
+    """Whether every constraint is strictly positive, by tree walk.
+
+    Stops at the first constraint that is not, so a later constraint that
+    cannot be evaluated at the point never raises.
+    """
+    for constraint in constraints:
+        try:
+            if evaluate(constraint, bindings) <= 0.0:
+                return False
+        except ExpressionError:
+            return False
+    return True
 
 
 def _resolve(e: Expr, constants: tuple[tuple[str, float], ...]) -> Expr:
@@ -208,14 +214,7 @@ class MetricField:
         return dict(zip(_theta_names(self.dimension), map(float, point)))
 
     def in_domain(self, point: Point) -> bool:
-        b = self.bindings(point)
-        for constraint in self.constraints:
-            try:
-                if evaluate(constraint, b) <= 0.0:
-                    return False
-            except ExpressionError:
-                return False
-        return True
+        return _satisfies(self.constraints, self.bindings(point))
 
     def evaluate(self, point: Point) -> np.ndarray:
         b = self.bindings(point)

@@ -25,20 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .expressions import (
-    Expr,
-    ExpressionError,
-    compile_family,
-    differentiate,
-    simplify,
-)
+from .expressions import ExpressionError, compile_family
 from .geometry import (
     MetricField,
     PotentialSpec,
     SINGULARITY_THRESHOLD,
     SingularMetricError,
     _require_in_domain,
-    resolved_potential,
+    cubic_tensor,
+    fisher_metric,
 )
 
 DEFAULT_SEED = 42
@@ -62,36 +57,15 @@ def _require_planar(spec: PotentialSpec) -> None:
 
 
 @lru_cache(maxsize=None)
-def _second_partials(spec: PotentialSpec) -> tuple[Expr, Expr, Expr]:
-    psi = resolved_potential(spec)
-    dt = simplify(differentiate(psi, "theta1"))
-    dx = simplify(differentiate(psi, "theta2"))
-    return (
-        simplify(differentiate(dt, "theta1")),
-        simplify(differentiate(dt, "theta2")),
-        simplify(differentiate(dx, "theta2")),
-    )
-
-
-@lru_cache(maxsize=None)
-def _third_partials(spec: PotentialSpec) -> tuple[Expr, Expr, Expr, Expr]:
-    ptt, ptx, pxx = _second_partials(spec)
-    return (
-        simplify(differentiate(ptt, "theta1")),
-        simplify(differentiate(ptt, "theta2")),
-        simplify(differentiate(ptx, "theta2")),
-        simplify(differentiate(pxx, "theta2")),
-    )
-
-
-@lru_cache(maxsize=None)
 def _hessian_tape(spec: PotentialSpec):
-    return compile_family(_second_partials(spec))
+    g = fisher_metric(spec).entries
+    return compile_family((g[0][0], g[0][1], g[1][1]))
 
 
 @lru_cache(maxsize=None)
 def _third_tape(spec: PotentialSpec):
-    return compile_family(_third_partials(spec))
+    c = cubic_tensor(spec).components
+    return compile_family((c[0][0][0], c[0][0][1], c[0][1][1], c[1][1][1]))
 
 
 def _hessian_values(spec: PotentialSpec, point) -> tuple[float, float, float]:
@@ -182,17 +156,9 @@ class ConvexityReport:
     largest_convex_box: tuple[float, float, float, float] | None
     largest_convex_cells: int
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        t0, t1, x0, x1 = self.box
-        rows, cols = self.grid
-        dt, dx = (t1 - t0) / rows, (x1 - x0) / cols
-        return (t0 + (row + 0.5) * dt, x0 + (col + 0.5) * dx)
-
     def csv_rows(self):
-        for row in range(self.grid[0]):
-            for col in range(self.grid[1]):
-                t, x = self.cell_center(row, col)
-                yield row, col, t, x, self.verdicts[row][col]
+        for row, col, (t, x) in grid_centers(self.box, self.grid):
+            yield row, col, t, x, self.verdicts[row][col]
 
     def to_dict(self) -> dict:
         return {
@@ -231,6 +197,16 @@ def _largest_true_rectangle(mask: np.ndarray) -> tuple[int, tuple[int, int, int,
     return best_area, best
 
 
+def grid_centers(box: Box, grid: tuple[int, int]):
+    """Yield ``(row, col, (t, x))`` for the center of every grid cell, row by row."""
+    t0, t1, x0, x1 = map(float, box)
+    rows, cols = grid
+    dt, dx = (t1 - t0) / rows, (x1 - x0) / cols
+    for r in range(rows):
+        for c in range(cols):
+            yield r, c, (t0 + (r + 0.5) * dt, x0 + (c + 0.5) * dx)
+
+
 def convexity_scan(spec: PotentialSpec, box: Box, grid: tuple[int, int]) -> ConvexityReport:
     """Classify every cell center of a grid over the box."""
     _require_planar(spec)
@@ -239,16 +215,10 @@ def convexity_scan(spec: PotentialSpec, box: Box, grid: tuple[int, int]) -> Conv
         raise ValueError("grid dimensions must be at least 2x2")
     t0, t1, x0, x1 = map(float, box)
     dt, dx = (t1 - t0) / rows, (x1 - x0) / cols
-    verdicts = []
-    counts = {CONVEX: 0, NOT_CONVEX: 0, DOMAIN_ERROR: 0}
-    for r in range(rows):
-        line = []
-        for c in range(cols):
-            verdict = convexity_check(spec, (t0 + (r + 0.5) * dt, x0 + (c + 0.5) * dx))
-            counts[verdict] += 1
-            line.append(verdict)
-        verdicts.append(tuple(line))
-    mask = np.array([[v == CONVEX for v in line] for line in verdicts])
+    cells = [convexity_check(spec, pt) for _, _, pt in grid_centers(box, grid)]
+    verdicts = tuple(tuple(cells[r * cols:(r + 1) * cols]) for r in range(rows))
+    counts = {v: cells.count(v) for v in (CONVEX, NOT_CONVEX, DOMAIN_ERROR)}
+    mask = np.array([v == CONVEX for v in cells]).reshape(rows, cols)
     area, rect = _largest_true_rectangle(mask)
     sub_box = None
     if rect is not None:

@@ -201,7 +201,6 @@ class TestExport:
             exported["expression"],
             constants=exported["constants"],
             constraints=exported["constraints"],
-            expected_lambda=exported["lambda"],
         )
         assert rebuilt.psi == get_entry("invariant-X6aX2").potential.psi
 

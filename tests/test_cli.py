@@ -1,8 +1,14 @@
+import csv
+import io
 import json
 
 import pytest
 
+from einstat.catalog import get_entry
 from einstat.cli import main
+from einstat.planar import grid_centers, sample_points
+
+DEEP_SUM = "+".join(["x"] * 3000)
 
 
 def run(capsys, *argv):
@@ -23,6 +29,12 @@ class TestParseCommand:
         code, _, err = run(capsys, "parse", "--expr", "foo(t)")
         assert code == 2
         assert "unknown function" in err
+
+    def test_too_deep_expression_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "parse", "--expr", DEEP_SUM)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCheckCommand:
@@ -65,6 +77,19 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "--catalog", "no-such-entry")
         assert code == 2
 
+    def test_trig_of_infinity_is_domain_error(self, capsys):
+        code, _, err = run(
+            capsys, "check", "--expr", "sin(t*1e308*1e308) + exp(x)", "--lambda", "0"
+        )
+        assert code == 3
+        assert err.startswith("error: ")
+
+    def test_too_deep_expression_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "--expr", DEEP_SUM, "--lambda", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCurvatureCommand:
     def test_sampled_points(self, capsys):
@@ -98,6 +123,44 @@ class TestCurvatureCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "row,col,t,x,kappa,scalar,r1212"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize(
+        "name, box", [("normal-natural", "-1,1,-2,-0.1"), ("weibull-metric", "0.5,3,0.5,3")]
+    )
+    def test_sampled_points_are_sample_points(self, capsys, name, box):
+        code, out, _ = run(
+            capsys, "curvature", "--catalog", name, "--box", box, "--samples", "7", "--seed", "11"
+        )
+        assert code == 0
+        points = [tuple(r["point"]) for r in json.loads(out)["results"]]
+        bounds = [float(v) for v in box.split(",")]
+        assert points == sample_points(get_entry(name).source(), bounds, 7, seed=11)
+
+    def test_box_without_domain_points_exit_code(self, capsys):
+        code, out, err = run(
+            capsys, "curvature", "--catalog", "normal-natural", "--box", "-1,1,1,2",
+            "--samples", "3",
+        )
+        assert code == 3
+        assert out == ""
+        assert "could not draw 3 in-domain points" in err
+
+    def test_grid_points_are_grid_centers(self, capsys):
+        box = (-1.0, 1.0, -2.0, -0.1)
+        expected = [pt for _, _, pt in grid_centers(box, (3, 4))]
+        code, out, _ = run(
+            capsys, "curvature", "--catalog", "normal-natural", "--box", "-1,1,-2,-0.1",
+            "--grid", "3,4",
+        )
+        assert code == 0
+        assert [tuple(r["point"]) for r in json.loads(out)["results"]] == expected
+        code, out, _ = run(
+            capsys, "convexity", "--catalog", "normal-natural", "--box", "-1,1,-2,-0.1",
+            "--grid", "3,4", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(float(r["t"]), float(r["x"])) for r in rows] == expected
 
     def test_evaluation_error_exit_code(self, capsys):
         code, _, err = run(

@@ -30,8 +30,8 @@ from einstat.expressions import (
     to_text,
     worst_residual,
 )
-from einstat.geometry import resolved_constraints
-from einstat.planar import _second_partials, _third_partials, sample_points
+from einstat.geometry import cubic_tensor, fisher_metric, resolved_constraints
+from einstat.planar import sample_points
 
 NORMAL_PSI = "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2"
 
@@ -126,6 +126,13 @@ class TestEvaluate:
         with pytest.raises(DomainError) as err:
             evaluate(parse("1 + ln(-x)"), {"x": 2.0})
         assert "ln(-x)" in str(err.value)
+
+    @pytest.mark.parametrize("func", ["sin", "cos"])
+    def test_trig_of_infinity_is_domain_error(self, func):
+        e = parse(f"{func}(x*1e308*1e308)")
+        with pytest.raises(DomainError) as err:
+            evaluate(e, {"x": -1.0})
+        assert err.value.subtree == e
 
     def test_deterministic(self):
         e = parse(NORMAL_PSI)
@@ -282,9 +289,11 @@ class TestCompiledFamily:
     def test_catalog_families_match_evaluate_bitwise(self, name):
         entry = get_entry(name)
         spec = entry.potential
+        g = fisher_metric(spec).entries
+        c = cubic_tensor(spec).components
         families = (
-            _second_partials(spec),
-            _third_partials(spec),
+            (g[0][0], g[0][1], g[1][1]),
+            (c[0][0][0], c[0][0][1], c[0][1][1], c[1][1][1]),
             resolved_constraints(spec),
         )
         tapes = [compile_family(family) for family in families]

@@ -22,7 +22,6 @@ NORMAL = PotentialSpec.create(
     2,
     "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2",
     constraints=["-x"],
-    expected_lambda=0.5,
 )
 QUADRATIC = PotentialSpec.create("quadratic", 2, "(t^2 + x^2)/2")
 ADDITIVE_EXP = PotentialSpec.create("flat-additive", 2, "exp(t) + exp(x)")
@@ -56,17 +55,24 @@ class TestPotentialSpec:
         assert not NORMAL.in_domain((0.0, 1.0))
 
     def test_in_domain_stops_at_first_failing_constraint(self):
-        # the second constraint raises ValueError (sin of inf) at x = 1, but
-        # the first already fails there, so the answer is False, not an error
+        # the second constraint raises DomainError (sin of inf) at x = 1, but
+        # the first already fails there, so the tree walk never reaches it
         spec = PotentialSpec.create(
             "guarded", 2, "t^2 + x^2", constraints=["-x", "sin(x*1e308*1e308)"]
         )
         assert spec.in_domain((0.0, 1.0)) is False
 
+    def test_in_domain_false_where_a_constraint_is_sin_of_infinity(self):
+        constraint = "sin(x*1e308*1e308)"
+        spec = PotentialSpec.create("trig", 2, "t^2 + x^2", constraints=[constraint])
+        metric = MetricField.create([["1", "0"], ["0", "1"]], constraints=[constraint])
+        assert spec.in_domain((0.0, 1.0)) is False
+        assert metric.in_domain((0.0, 1.0)) is False
+
     def test_hash_is_cached_and_consistent_with_equality(self):
         twin = PotentialSpec.create(
             "normal-natural", 2, "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2",
-            constraints=["-x"], expected_lambda=0.5,
+            constraints=["-x"],
         )
         assert twin == NORMAL and hash(twin) == hash(NORMAL)
         assert "_hash" in vars(twin)

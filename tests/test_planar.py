@@ -10,6 +10,7 @@ from einstat.planar import (
     SamplingError,
     convexity_check,
     convexity_scan,
+    grid_centers,
     lambda_estimate,
     pde_residual,
     r1212,
@@ -21,7 +22,6 @@ NORMAL = PotentialSpec.create(
     2,
     "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2",
     constraints=["-x"],
-    expected_lambda=0.5,
 )
 QUADRATIC = PotentialSpec.create("quadratic", 2, "(t^2 + x^2)/2")
 ADDITIVE = PotentialSpec.create("flat-additive", 2, "exp(t) + exp(x)")
@@ -34,7 +34,6 @@ PRODUCT_POWER = PotentialSpec.create(
     "(t - c5)^c4 * (x - c3)^2",
     constants={"c4": -0.5, "c5": 0.0, "c3": 0.0},
     constraints=["t", "x^2"],
-    expected_lambda=0.0,
 )
 # group-invariant solution for the shear-and-translation combination,
 # constants chosen inside its convexity domain
@@ -44,7 +43,6 @@ INVARIANT_X6AX2 = PotentialSpec.create(
     "-1/(4*lam) * ln(c2*exp(c1*x^2 - 2*c1*a*t) - 1) + c3",
     constants={"a": 1.0, "c1": -1.0, "c2": 2.0, "c3": 0.0, "lam": 1.0},
     constraints=["c2*exp(c1*x^2 - 2*c1*a*t) - 1"],
-    expected_lambda=1.0,
 )
 
 
@@ -190,6 +188,22 @@ class TestConvexity:
         assert len(rows) == 6
         assert rows[0][:2] == (0, 0)
         assert rows[-1][4] == CONVEX
+
+    def test_csv_rows_are_the_grid_centers(self):
+        box, grid = (-1.0, 1.0, -2.0, -0.1), (3, 4)
+        report = convexity_scan(NORMAL, box, grid)
+        cells = [(r, c, (t, x)) for r, c, t, x, _ in report.csv_rows()]
+        assert cells == list(grid_centers(box, grid))
+
+
+class TestGridCenters:
+    def test_row_major_cell_centers(self):
+        assert list(grid_centers((0, 1, 0, 2), (2, 2))) == [
+            (0, 0, (0.25, 0.5)),
+            (0, 1, (0.25, 1.5)),
+            (1, 0, (0.75, 0.5)),
+            (1, 1, (0.75, 1.5)),
+        ]
 
 
 class TestLambdaEstimate:

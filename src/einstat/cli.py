@@ -88,9 +88,24 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise UsageError(f"--grid needs rows,cols (got {text!r})")
     try:
-        return int(parts[0]), int(parts[1])
+        rows, cols = int(parts[0]), int(parts[1])
     except ValueError:
         raise UsageError(f"--grid values must be integers (got {text!r})") from None
+    if rows < 1 or cols < 1:
+        raise UsageError(f"--grid needs at least one row and one column (got {text!r})")
+    return rows, cols
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every ``--samples`` flag; a check over no samples
+    would have no residual to fail and so would pass vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer (got {text!r})")
+    return value
 
 
 def _resolve_potential(args) -> tuple[PotentialSpec, dict]:
@@ -388,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="catalog entry name")
     p.add_argument("--alpha", type=float, default=0.0, help="connection parameter (default 0)")
     p.add_argument("--grid", default=None, help="rows,cols grid instead of sampling")
-    p.add_argument("--samples", type=int, default=20, help="sample count (default 20)")
+    p.add_argument("--samples", type=_positive_int, default=20, help="sample count (default 20)")
     _add_common(p, box_default="-1,1,-2,-0.1")
     p.set_defaults(handler=_cmd_curvature)
 
@@ -396,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", help="inline potential in t, x")
     p.add_argument("--catalog", help="catalog entry name")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="curvature parameter")
-    p.add_argument("--samples", type=int, default=100, help="sample count (default 100)")
+    p.add_argument("--samples", type=_positive_int, default=100, help="sample count (default 100)")
     _add_common(p, box_default="-1,1,-1,1")
     p.set_defaults(handler=_cmd_check)
 
@@ -415,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="curvature parameter for txpeq (default 1)")
     v.add_argument("--gen", required=True,
                    help="generator name (H1..H6, X1..X9) or 'xi_t = ...; xi_x = ...; eta = ...'")
-    v.add_argument("--samples", type=int, default=200, help="on-shell samples (default 200)")
+    v.add_argument("--samples", type=_positive_int, default=200, help="on-shell samples (default 200)")
     _add_common(v)
     v.set_defaults(handler=_cmd_symmetry_verify)
 
@@ -424,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = invariant_sub.add_parser("check", help="verify X(f) = 0 at random points")
     c.add_argument("--gen", required=True, help="generator name or inline definition")
     c.add_argument("--expr", required=True, help="candidate invariant in t, x, u")
-    c.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
+    c.add_argument("--samples", type=_positive_int, default=200, help="sample count (default 200)")
     _add_common(c)
     c.set_defaults(handler=_cmd_invariant_check)
 

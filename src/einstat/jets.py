@@ -30,6 +30,7 @@ from .expressions import (
     ExpressionError,
     Num,
     Var,
+    compile_family,
     differentiate,
     evaluate,
     free_variables,
@@ -280,8 +281,22 @@ _RESAMPLE_LIMIT = 64
 
 
 def _sample_bindings(rng, names: Sequence[str]) -> dict[str, float]:
+    # one vector draw takes the same doubles from the stream as one scalar
+    # draw per name, in order
     low, high = _SAMPLE_RANGE
-    return {name: float(rng.uniform(low, high)) for name in names}
+    return dict(zip(names, rng.uniform(low, high, len(names)).tolist()))
+
+
+def _relative_action(values: Sequence[float]) -> float:
+    """``|sum c*p| / max(1, sum |c*p|)`` over the flattened pairs ``c, p``,
+    summed in pair order."""
+    total = 0.0
+    magnitude = 0.0
+    for coeff, partial in zip(values[::2], values[1::2]):
+        product = coeff * partial
+        total += product
+        magnitude += abs(product)
+    return abs(total) / max(1.0, magnitude)
 
 
 def lsc_check(
@@ -301,6 +316,8 @@ def lsc_check(
     is what is measured.  Samples whose leading coefficient is smaller
     than ``1e-3`` are redrawn from the same per-sample stream.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer (got {samples})")
     if parse_jet_name(leading) is None:
         raise UnsupportedEquationError(f"'{leading}' is not a jet coordinate")
     coeff_expr = simplify(differentiate(equation, leading))
@@ -315,30 +332,25 @@ def lsc_check(
             )
     terms = prolonged_action_terms(gen, equation)
     base = substitute(equation, leading, Num(0.0))
+    leading_tape = compile_family([coeff_expr])
+    base_tape = compile_family([base])
+    terms_tape = compile_family([e for pair in terms for e in pair])
 
     residuals = []
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
-        bindings = None
         for _ in range(_RESAMPLE_LIMIT):
-            candidate = _sample_bindings(rng, names)
-            if abs(evaluate(coeff_expr, candidate)) >= _LEADING_FLOOR:
-                bindings = candidate
+            bindings = _sample_bindings(rng, names)
+            (a,) = leading_tape(bindings)
+            if abs(a) >= _LEADING_FLOOR:
                 break
-        if bindings is None:
+        else:
             raise UnsupportedEquationError(
                 f"leading coefficient stayed below {_LEADING_FLOOR} while resampling"
             )
-        a = evaluate(coeff_expr, bindings)
-        b0 = evaluate(base, bindings)
+        (b0,) = base_tape(bindings)
         bindings[leading] = -b0 / a
-        total = 0.0
-        magnitude = 0.0
-        for coeff, partial in terms:
-            product = evaluate(coeff, bindings) * evaluate(partial, bindings)
-            total += product
-            magnitude += abs(product)
-        residuals.append(abs(total) / max(1.0, magnitude))
+        residuals.append(_relative_action(terms_tape(bindings)))
     worst = worst_residual(residuals)
     return LscReport(gen.name, label, samples, worst, tolerance, worst < tolerance)
 
@@ -368,27 +380,24 @@ def invariance_check(
     extra = free_variables(function) - {"t", "x", "u"}
     if extra:
         raise ValueError(f"invariant candidate depends on {sorted(extra)}")
-    parts = [
-        (gen.xi_t, simplify(differentiate(function, "t"))),
-        (gen.xi_x, simplify(differentiate(function, "x"))),
-        (gen.eta, simplify(differentiate(function, "u"))),
-    ]
+    tape = compile_family(
+        [
+            gen.xi_t, simplify(differentiate(function, "t")),
+            gen.xi_x, simplify(differentiate(function, "x")),
+            gen.eta, simplify(differentiate(function, "u")),
+        ]
+    )
     residuals = []
     skipped = 0
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         bindings = _sample_bindings(rng, ["t", "x", "u"])
         try:
-            total = 0.0
-            magnitude = 0.0
-            for coeff, partial in parts:
-                product = evaluate(coeff, bindings) * evaluate(partial, bindings)
-                total += product
-                magnitude += abs(product)
+            values = tape(bindings)
         except ExpressionError:
             skipped += 1
             continue
-        residuals.append(abs(total) / max(1.0, magnitude))
+        residuals.append(_relative_action(values))
     evaluated = len(residuals)
     worst = worst_residual(residuals)
     passed = evaluated > 0 and worst < tolerance

@@ -170,6 +170,13 @@ class TestCurvatureCommand:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("grid", ["0,5", "3,0", "-1,2"])
+    def test_grid_without_rows_or_columns_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "curvature", "--catalog", "normal-natural", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --grid") and err.count("\n") == 1
+
 
 class TestConvexityCommand:
     def test_json_summary(self, capsys):
@@ -216,6 +223,12 @@ class TestSymmetryCommand:
         code, _, err = run(capsys, "symmetry", "verify", "--pde", "heat", "--gen", "X17")
         assert code == 2
 
+    def test_evaluation_error_is_the_tree_walks_own(self, capsys):
+        code, out, err = run(capsys, "symmetry", "verify", "--pde", "heat", "--gen", "eta = sqrt(u)")
+        assert code == 3
+        assert out == ""
+        assert err == "error: sqrt of negative value in 'sqrt(u)'\n"
+
 
 class TestInvariantCommand:
     def test_similarity_invariant_passes(self, capsys):
@@ -261,6 +274,25 @@ class TestCatalogCommand:
         assert out == ""
         data = json.loads(target.read_text())
         assert data["results"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symmetry", "verify", "--pde", "txpeq", "--gen", "eta = u", "--samples", "0"],
+        ["symmetry", "verify", "--pde", "txpeq", "--gen", "eta = u", "--samples", "-3"],
+        ["invariant", "check", "--gen", "H4", "--expr", "t", "--samples", "0"],
+        ["curvature", "--catalog", "normal-natural", "--samples", "0"],
+        ["check", "--catalog", "normal-natural", "--samples", "0"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")) + " " + argv[-1],
+)
+def test_samples_must_be_positive(capsys, argv):
+    # an empty sample has no residual to fail, so it must not report PASS
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "--samples" in err
 
 
 class TestDeterminism:

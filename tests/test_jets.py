@@ -24,6 +24,7 @@ from einstat.jets import (
     prolonged_action_value,
     total_derivative,
 )
+from einstat.jets import _sample_bindings
 
 
 def jet_point(seed, order=4):
@@ -173,6 +174,17 @@ class TestLscHeat:
         with pytest.raises(UnsupportedEquationError):
             lsc_check(HEAT_GENERATORS["H1"], parse("u_t^2 - u_xx"), "u_t", samples=10)
 
+    def test_base_is_not_evaluated_on_rejected_candidates(self):
+        # |0.0001 u_x| < 1e-3 on every draw, so no candidate is accepted and
+        # ln(u) at the many negative u drawn is never evaluated
+        with pytest.raises(UnsupportedEquationError, match="stayed below"):
+            lsc_check(HEAT_GENERATORS["H1"], parse("0.0001*u_x*u_t + ln(u)"), "u_t", samples=5)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_empty_sample_is_rejected(self, samples):
+        with pytest.raises(ValueError, match="positive"):
+            lsc_check(HEAT_GENERATORS["H1"], heat_equation(), "u_t", samples=samples)
+
 
 class TestLscCurvatureEquation:
     @pytest.mark.parametrize("lam", [1.0, -1.0])
@@ -208,9 +220,26 @@ class TestLscCurvatureEquation:
         assert report.passed
 
 
+class TestSampleBindings:
+    @pytest.mark.parametrize("names", [jet_variables(4), ["t", "x", "u"]], ids=len)
+    def test_one_call_draw_equals_scalar_stream(self, names):
+        for i in range(50):
+            vector, scalar = np.random.default_rng([42, i]), np.random.default_rng([42, i])
+            for _ in range(3):
+                expected = {name: float(scalar.uniform(-2.0, 2.0)) for name in names}
+                assert _sample_bindings(vector, names) == expected
+
+
 class TestInvariance:
     def scaling_generator(self, a=1.0):
         return HEAT_GENERATORS["H4"] + a * HEAT_GENERATORS["H3"]
+
+    @pytest.mark.parametrize("seed, evaluated, skipped", [(42, 97, 103), (7, 95, 105), (977, 93, 107)])
+    def test_similarity_variable_counts(self, seed, evaluated, skipped):
+        # samples at negative t raise in sqrt(t) and are skipped, not fatal
+        report = invariance_check(HEAT_GENERATORS["H4"], parse("x/sqrt(t)"), seed=seed)
+        assert (report.evaluated, report.skipped) == (evaluated, skipped)
+        assert report.passed
 
     def test_similarity_variable(self):
         report = invariance_check(self.scaling_generator(), parse("x/sqrt(t)"), seed=42)

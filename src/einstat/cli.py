@@ -261,16 +261,16 @@ def _cmd_check(args) -> int:
         results.append({"point": list(pt), "relative_residual": residual})
     worst = worst_residual(abs(r["relative_residual"]) for r in results)
     passed = worst < PDE_TOLERANCE
-    est = None
+    summary = {"max_relative_residual": worst}
     try:
         est = lambda_estimate(spec, points)
-        summary = {
-            "max_relative_residual": worst,
-            "lambda_estimate": est.estimate,
-            "lambda_deviation": est.deviation,
-        }
+        summary.update(lambda_estimate=est.estimate, lambda_deviation=est.deviation)
+    except SingularMetricError as exc:
+        # without a Fisher metric the residual is 0 - 0 for every lambda
+        summary["lambda_error"] = str(exc)
+        passed = False
     except (ExpressionError, ValueError):
-        summary = {"max_relative_residual": worst}
+        pass
     input_desc.update({"lambda": lam, "box": list(box), "samples": args.samples})
     payload = _report(args.seed, input_desc, [summary] + results, passed)
     _emit(args, payload)

@@ -538,33 +538,46 @@ def _tape_key(node: Expr, operands: list[int]) -> tuple:
     return (op, *operands)
 
 
+def _post_order(roots: Iterable[Expr], visit: Callable[[Expr, list], object]) -> list:
+    """Fold ``visit(node, operand_results)`` over the trees bottom-up, and
+    return the result at each root.
+
+    The walk is iterative, so depth is bounded only by memory, and it
+    remembers nodes by identity: a subtree shared by reference is visited
+    once, even across roots.
+    """
+    done: dict[int, object] = {}
+    results = []
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            node, children = stack.pop()
+            if id(node) in done:
+                continue
+            if children is None:
+                # revisit the node once everything pushed above it is done
+                children = _operands(node)
+                stack.append((node, children))
+                stack.extend((c, None) for c in children)
+                continue
+            done[id(node)] = visit(node, [done[id(c)] for c in children])
+        results.append(done[id(root)])
+    return results
+
+
 def _value_number(exprs: tuple[Expr, ...]) -> tuple[list[tuple], list[int]]:
     """Keys of the distinct subexpressions in dependency order, and the
     value number of each root.
 
-    The walk is iterative and remembers nodes by identity, so a subtree
-    shared by reference is visited once; equal subtrees that are distinct
-    objects still share a number through their keys.
+    Equal subtrees that are distinct objects share a number through their
+    keys.
     """
     numbers: dict[tuple, int] = {}
-    number_of: dict[int, int] = {}
-    roots = []
-    for root in exprs:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in number_of:
-                stack.pop()
-                continue
-            children = _operands(node)
-            pending = [c for c in children if id(c) not in number_of]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            key = _tape_key(node, [number_of[id(c)] for c in children])
-            number_of[id(node)] = numbers.setdefault(key, len(numbers))
-        roots.append(number_of[id(root)])
+
+    def number(node: Expr, operands: list[int]) -> int:
+        return numbers.setdefault(_tape_key(node, operands), len(numbers))
+
+    roots = _post_order(exprs, number)
     return list(numbers), roots
 
 
@@ -639,10 +652,24 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-# -- differentiation ---------------------------------------------------------
+# -- rewrite rules -----------------------------------------------------------
+#
+# One smart constructor per node type holds every rewrite rule, and both
+# differentiate and simplify build through them.  Each returns an operand,
+# a number, or a node none of whose operands can be rewritten further, so
+# one bottom-up pass through them reaches a fixpoint.
 
 def _is_num(e: Expr, value: float) -> bool:
     return isinstance(e, Num) and e.value == value
+
+
+def _fold(e: Expr) -> Expr:
+    """``e``, whose operands are numbers, as a number unless it cannot be
+    evaluated."""
+    try:
+        return Num(evaluate(e, {}))
+    except ExpressionError:
+        return e
 
 
 def _add(a: Expr, b: Expr) -> Expr:
@@ -662,6 +689,8 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return _neg(b)
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value - b.value)
+    if a == b:
+        return ZERO
     return Sub(a, b)
 
 
@@ -678,10 +707,12 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
+    if _is_num(a, 0.0) and not _is_num(b, 0.0):
         return ZERO
     if _is_num(b, 1.0):
         return a
+    if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
+        return Num(a.value / b.value)
     return Div(a, b)
 
 
@@ -698,16 +729,36 @@ def _pow(a: Expr, b: Expr) -> Expr:
         return a
     if _is_num(b, 0.0):
         return ONE
+    if isinstance(a, Num) and isinstance(b, Num):
+        return _fold(Pow(a, b))
+    # (c^m)^n with integral m, n collapses to c^(m n)
+    if (
+        isinstance(a, Pow)
+        and isinstance(a.exponent, Num)
+        and isinstance(b, Num)
+        and _is_integral(a.exponent.value)
+        and _is_integral(b.value)
+    ):
+        return _pow(a.base, Num(a.exponent.value * b.value))
     return Pow(a, b)
 
+
+def _call(func: str, arg: Expr) -> Expr:
+    if isinstance(arg, Num):
+        return _fold(Call(func, arg))
+    return Call(func, arg)
+
+
+# -- differentiation ---------------------------------------------------------
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to variable ``name``.
 
-    The result folds away trivial zero and unit factors but is otherwise
-    unsimplified; it always evaluates correctly.  For a constant exponent
-    the power rule is used (valid for negative bases), otherwise the
-    logarithmic form ``b^p (p' ln b + p b'/b)``.
+    The result is built through the rewrite rules of :func:`simplify`,
+    one node at a time, so it folds constants and drops zero and unit
+    factors but is otherwise unsimplified; it always evaluates correctly.
+    For a constant exponent the power rule is used (valid for negative
+    bases), otherwise the logarithmic form ``b^p (p' ln b + p b'/b)``.
     """
     if isinstance(e, (Num, Const)):
         return ZERO
@@ -741,7 +792,7 @@ def differentiate(e: Expr, name: str) -> Expr:
         dp = differentiate(e.exponent, name)
         return _mul(
             e,
-            _add(_mul(dp, Call("ln", e.base)), _div(_mul(e.exponent, db), e.base)),
+            _add(_mul(dp, _call("ln", e.base)), _div(_mul(e.exponent, db), e.base)),
         )
     if isinstance(e, Call):
         da = differentiate(e.arg, name)
@@ -752,115 +803,37 @@ def differentiate(e: Expr, name: str) -> Expr:
         if e.func == "sqrt":
             return _div(da, _mul(Num(2.0), e))
         if e.func == "sin":
-            return _mul(Call("cos", e.arg), da)
+            return _mul(_call("cos", e.arg), da)
         if e.func == "cos":
-            return _neg(_mul(Call("sin", e.arg), da))
+            return _neg(_mul(_call("sin", e.arg), da))
         raise UnknownFunctionError(f"unknown function '{e.func}'", 0)
     raise TypeError(f"not an expression: {e!r}")
 
 
 # -- simplification ----------------------------------------------------------
 
-def _simplify_node(e: Expr) -> Expr:
-    if isinstance(e, Neg):
-        if isinstance(e.arg, Num):
-            return Num(-e.arg.value)
-        if isinstance(e.arg, Neg):
-            return e.arg.arg
-        return e
-    if isinstance(e, Add):
-        if _is_num(e.left, 0.0):
-            return e.right
-        if _is_num(e.right, 0.0):
-            return e.left
-        if isinstance(e.left, Num) and isinstance(e.right, Num):
-            return Num(e.left.value + e.right.value)
-        return e
-    if isinstance(e, Sub):
-        if _is_num(e.right, 0.0):
-            return e.left
-        if _is_num(e.left, 0.0):
-            return Neg(e.right)
-        if isinstance(e.left, Num) and isinstance(e.right, Num):
-            return Num(e.left.value - e.right.value)
-        if e.left == e.right:
-            return ZERO
-        return e
-    if isinstance(e, Mul):
-        if _is_num(e.left, 0.0) or _is_num(e.right, 0.0):
-            return ZERO
-        if _is_num(e.left, 1.0):
-            return e.right
-        if _is_num(e.right, 1.0):
-            return e.left
-        if isinstance(e.left, Num) and isinstance(e.right, Num):
-            return Num(e.left.value * e.right.value)
-        return e
-    if isinstance(e, Div):
-        if _is_num(e.left, 0.0) and not _is_num(e.right, 0.0):
-            return ZERO
-        if _is_num(e.right, 1.0):
-            return e.left
-        if isinstance(e.left, Num) and isinstance(e.right, Num) and e.right.value != 0.0:
-            return Num(e.left.value / e.right.value)
-        return e
-    if isinstance(e, Pow):
-        if _is_num(e.exponent, 1.0):
-            return e.base
-        if _is_num(e.exponent, 0.0):
-            return ONE
-        if isinstance(e.base, Num) and isinstance(e.exponent, Num):
-            try:
-                return Num(evaluate(e, {}))
-            except ExpressionError:
-                return e
-        # (b^m)^n with integral m, n collapses to b^(m n)
-        if (
-            isinstance(e.base, Pow)
-            and isinstance(e.base.exponent, Num)
-            and isinstance(e.exponent, Num)
-            and _is_integral(e.base.exponent.value)
-            and _is_integral(e.exponent.value)
-        ):
-            return Pow(e.base.base, Num(e.base.exponent.value * e.exponent.value))
-        return e
-    if isinstance(e, Call) and isinstance(e.arg, Num):
-        try:
-            return Num(evaluate(e, {}))
-        except ExpressionError:
-            return e
-    return e
+#: Smart constructor per operator node type, except ``Call``'s.
+_BUILD: dict = {Neg: _neg, Add: _add, Sub: _sub, Mul: _mul, Div: _div, Pow: _pow}
+
+
+def _rebuild(node: Expr, operands: list) -> Expr:
+    if isinstance(node, Call):
+        return _call(node.func, *operands)
+    build = _BUILD.get(type(node))
+    return node if build is None else build(*operands)
 
 
 def simplify(e: Expr) -> Expr:
-    """Apply local rewrite rules bottom-up until a fixpoint.
+    """Rebuild ``e`` bottom-up through the rewrite rules, in one pass.
 
-    Only value-preserving rules are used (zero and unit elimination,
-    constant folding, power collapsing); the result evaluates identically
-    to the input at every binding in the input's domain.
+    The rules (zero and unit elimination, constant folding, power
+    collapsing) are the smart constructors :func:`differentiate` builds
+    with.  An iterative walk rebuilds each distinct node object once, from
+    its simplified operands, so depth costs no recursion.  Wherever ``e``
+    evaluates to a finite number, the result evaluates to the same number,
+    up to the rounding of a collapsed power.
     """
-    for _ in range(16):
-        if isinstance(e, Neg):
-            rebuilt: Expr = Neg(simplify(e.arg))
-        elif isinstance(e, Call):
-            rebuilt = Call(e.func, simplify(e.arg))
-        elif isinstance(e, Add):
-            rebuilt = Add(simplify(e.left), simplify(e.right))
-        elif isinstance(e, Sub):
-            rebuilt = Sub(simplify(e.left), simplify(e.right))
-        elif isinstance(e, Mul):
-            rebuilt = Mul(simplify(e.left), simplify(e.right))
-        elif isinstance(e, Div):
-            rebuilt = Div(simplify(e.left), simplify(e.right))
-        elif isinstance(e, Pow):
-            rebuilt = Pow(simplify(e.base), simplify(e.exponent))
-        else:
-            rebuilt = e
-        reduced = _simplify_node(rebuilt)
-        if reduced == e:
-            return reduced
-        e = reduced
-    return e
+    return _post_order((e,), _rebuild)[0]
 
 
 # -- finite-difference oracle ------------------------------------------------

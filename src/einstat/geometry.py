@@ -259,18 +259,6 @@ class CubicTensor:
         return out
 
 
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Connection coefficients, symmetric in the first index pair."""
-
-    components: tuple[tuple[tuple[Expr, ...], ...], ...]
-    alpha: float
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-
 @dataclass(eq=False)
 class CurvatureBundle:
     """All curvature data evaluated at one point."""
@@ -327,19 +315,20 @@ def cubic_tensor(spec: PotentialSpec) -> CubicTensor:
     return CubicTensor(comps)
 
 
-def alpha_connection(spec: PotentialSpec, alpha: float) -> ConnectionCoeffs:
-    """Connection coefficients ``(1 - alpha)/2 * T_ijk``."""
+def alpha_connection(
+    spec: PotentialSpec, alpha: float
+) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
+    """Connection coefficients ``(1 - alpha)/2 * T_ijk``, indexed ``[i][j][k]``."""
     tensor = cubic_tensor(spec)
     n = tensor.dimension
     factor = Num((1.0 - alpha) / 2.0)
-    comps = tuple(
+    return tuple(
         tuple(
             tuple(simplify(factor * tensor.components[i][j][k]) for k in range(n))
             for j in range(n)
         )
         for i in range(n)
     )
-    return ConnectionCoeffs(comps, alpha)
 
 
 def _checked_inverse(g: np.ndarray) -> np.ndarray:

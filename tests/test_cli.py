@@ -84,6 +84,30 @@ class TestCheckCommand:
         assert code == 3
         assert err.startswith("error: ")
 
+    def test_division_by_literal_zero_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "check", "--expr", "t/0", "--lambda", "0")
+        assert code == 3
+        assert out == ""
+        assert err == "error: division by zero in '0/0'\n"
+
+    @pytest.mark.parametrize("expr", ["t+x", "x^2", "exp(1000*t)-exp(1000*t)+exp(x)"])
+    def test_singular_metric_fails(self, capsys, expr):
+        # every residual is 0 - 0 without a Fisher metric, whatever lambda is
+        code, out, _ = run(capsys, "check", "--expr", expr, "--lambda", "0.3")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        summary = payload["results"][0]
+        assert summary["max_relative_residual"] == 0.0
+        assert summary["lambda_error"].startswith("metric is numerically singular")
+
+    def test_single_sample_has_no_lambda_estimate(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--expr", "t^2+x^2", "--lambda", "0", "--samples", "1"
+        )
+        assert code == 0
+        assert json.loads(out)["results"][0] == {"max_relative_residual": 0.0}
+
     def test_too_deep_expression_is_usage_error(self, capsys):
         code, out, err = run(capsys, "check", "--expr", DEEP_SUM, "--lambda", "0")
         assert code == 2

@@ -184,6 +184,12 @@ class TestDifferentiate:
                     b["x"] = abs(b["x"])
                 assert abs(evaluate(dtx, b) - evaluate(dxt, b)) < 1e-10
 
+    def test_division_by_literal_zero_survives(self):
+        # folding 0/0 to 0 would hide the division by zero of the input
+        d = differentiate(parse("t/0"), "x")
+        with pytest.raises(DomainError):
+            evaluate(d, {"t": 1.0, "x": 1.0})
+
     def test_general_power(self):
         e = parse("t^x")
         d = differentiate(e, "x")
@@ -237,6 +243,15 @@ class TestSimplify:
             for _ in range(30):
                 b = {"t": float(rng.uniform(-2, 2)), "x": float(rng.uniform(-2, -0.1))}
                 assert abs(evaluate(e, b) - evaluate(s, b)) < 1e-12 * max(1.0, abs(evaluate(e, b)))
+
+    def test_deep_sum_simplifies_iteratively(self):
+        e = parse("+".join(["0*x", "t"] * 10000))
+        s = simplify(e)
+        depth = 0
+        while isinstance(s, Add):
+            assert s.right == Var("t")
+            s, depth = s.left, depth + 1
+        assert s == Var("t") and depth == 9999
 
 
 class TestFiniteDifference:

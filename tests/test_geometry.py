@@ -131,7 +131,7 @@ class TestAlphaConnection:
         from einstat.expressions import evaluate
 
         values = [
-            evaluate(coeffs.components[i][j][k], b)
+            evaluate(coeffs[i][j][k], b)
             for i in range(2)
             for j in range(2)
             for k in range(2)
@@ -143,7 +143,7 @@ class TestAlphaConnection:
         from einstat.expressions import evaluate
 
         b = NORMAL.bindings((0.0, -0.5))
-        assert evaluate(coeffs.components[0][0][1], b) == pytest.approx(1.0)
+        assert evaluate(coeffs[0][0][1], b) == pytest.approx(1.0)
 
     def test_alpha_minus_one_equals_cubic(self):
         coeffs = alpha_connection(NORMAL, -1.0)
@@ -154,7 +154,7 @@ class TestAlphaConnection:
         for i in range(2):
             for j in range(2):
                 for k in range(2):
-                    assert evaluate(coeffs.components[i][j][k], b) == pytest.approx(
+                    assert evaluate(coeffs[i][j][k], b) == pytest.approx(
                         evaluate(tens.components[i][j][k], b), rel=1e-12
                     )
 

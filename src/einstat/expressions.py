@@ -421,6 +421,15 @@ def _is_integral(value: float) -> bool:
     return abs(value) < 1e15 and value == int(value)
 
 
+def _unless_overflow(e: Expr, a: float, b: float, value: float) -> float:
+    """``value``, the result of ``e``'s operator on ``a`` and ``b``, unless
+    finite operands overflowed: ``inf - inf`` would turn that into a NaN
+    that no check downstream can tell from a computed number."""
+    if math.isfinite(value) or not (math.isfinite(a) and math.isfinite(b)):
+        return value
+    raise DomainError("overflow", e)
+
+
 def evaluate(e: Expr, bindings: Bindings) -> float:
     """Evaluate to an IEEE double.
 
@@ -444,16 +453,20 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
     if isinstance(e, Neg):
         return -evaluate(e.arg, bindings)
     if isinstance(e, Add):
-        return evaluate(e.left, bindings) + evaluate(e.right, bindings)
+        a, b = evaluate(e.left, bindings), evaluate(e.right, bindings)
+        return _unless_overflow(e, a, b, a + b)
     if isinstance(e, Sub):
-        return evaluate(e.left, bindings) - evaluate(e.right, bindings)
+        a, b = evaluate(e.left, bindings), evaluate(e.right, bindings)
+        return _unless_overflow(e, a, b, a - b)
     if isinstance(e, Mul):
-        return evaluate(e.left, bindings) * evaluate(e.right, bindings)
+        a, b = evaluate(e.left, bindings), evaluate(e.right, bindings)
+        return _unless_overflow(e, a, b, a * b)
     if isinstance(e, Div):
         denom = evaluate(e.right, bindings)
         if denom == 0.0:
             raise DomainError("division by zero", e)
-        return evaluate(e.left, bindings) / denom
+        numer = evaluate(e.left, bindings)
+        return _unless_overflow(e, numer, denom, numer / denom)
     if isinstance(e, Pow):
         base = evaluate(e.base, bindings)
         expo = evaluate(e.exponent, bindings)
@@ -587,10 +600,11 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
     The returned callable maps bindings to the same floats, bit for bit, as
     ``tuple(evaluate(e, bindings) for e in exprs)``: every distinct
     subexpression gets one slot and is computed once, in dependency order,
-    with the operations :func:`evaluate` uses.  When an instruction raises
-    or a guard trips (a negative base with a non-integral exponent), the
-    call re-runs :func:`evaluate`, so every error and the subtree it
-    carries are the tree walk's own.
+    with the operations :func:`evaluate` uses.  When an instruction raises,
+    a guard trips (a negative base with a non-integral exponent), or any
+    slot ends non-finite (which is where :func:`evaluate` may have raised
+    on an overflow), the call re-runs :func:`evaluate`, so every error and
+    the subtree it carries are the tree walk's own.
     """
     exprs = tuple(exprs)
 
@@ -622,9 +636,13 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
                 values[slot] = float(bindings[name])
             for slot, fn, a, b in tape:
                 values[slot] = fn(values[a]) if b < 0 else fn(values[a], values[b])
-            return tuple([values[r] for r in roots])
         except Exception:
             return walk(bindings)
+        # the sum is finite only when every slot is; a walk that raises no
+        # overflow returns these same values
+        if not math.isfinite(sum(values)):
+            return walk(bindings)
+        return tuple([values[r] for r in roots])
 
     return run
 
@@ -672,6 +690,30 @@ def _fold(e: Expr) -> Expr:
         return e
 
 
+def _equal(a: Expr, b: Expr) -> bool:
+    """``a == b`` without recursion: the dataclasses' structural equality,
+    under which a subtree is equal to itself, ``0.0`` equals ``-0.0`` and a
+    NaN equals only the same float object."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Num):
+            if not (x.value is y.value or x.value == y.value):
+                return False
+        elif isinstance(x, (Const, Var)):
+            if x.name != y.name:
+                return False
+        elif isinstance(x, Call) and x.func != y.func:
+            return False
+        else:
+            stack.extend(zip(_operands(x), _operands(y)))
+    return True
+
+
 def _add(a: Expr, b: Expr) -> Expr:
     if _is_num(a, 0.0):
         return b
@@ -689,7 +731,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return _neg(b)
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value - b.value)
-    if a == b:
+    if _equal(a, b):
         return ZERO
     return Sub(a, b)
 
@@ -731,13 +773,15 @@ def _pow(a: Expr, b: Expr) -> Expr:
         return ONE
     if isinstance(a, Num) and isinstance(b, Num):
         return _fold(Pow(a, b))
-    # (c^m)^n with integral m, n collapses to c^(m n)
+    # (c^m)^n with integral m, n and m n collapses to c^(m n); a product
+    # past the integral range would make a negative c leave the domain
     if (
         isinstance(a, Pow)
         and isinstance(a.exponent, Num)
         and isinstance(b, Num)
         and _is_integral(a.exponent.value)
         and _is_integral(b.value)
+        and _is_integral(a.exponent.value * b.value)
     ):
         return _pow(a.base, Num(a.exponent.value * b.value))
     return Pow(a, b)

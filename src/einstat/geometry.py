@@ -69,6 +69,37 @@ def _as_expr(source: Union[str, Expr]) -> Expr:
     return parse(source) if isinstance(source, str) else source
 
 
+def _cached_hash(self) -> int:
+    # specs and metrics key every derivative and tape cache: hash their
+    # trees once, not per lookup
+    try:
+        return self._hash
+    except AttributeError:
+        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", value)
+        return value
+
+
+def _state_without_hash(self) -> dict:
+    # string hashes differ between processes, so never pickle the cache
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
+def _in_domain(self, point: Point) -> bool:  # in_domain of both PotentialSpec and MetricField
+    """Whether every domain constraint is strictly positive at the point.
+
+    The compiled constraints decide when they evaluate; when one cannot
+    be evaluated, the tree walk decides, which stops at the first
+    constraint that is not positive.
+    """
+    b = self.bindings(point)
+    try:
+        values = _constraint_tape(self)(b)
+    except Exception:
+        return _satisfies(_domain(self), b)
+    return not any(value <= 0.0 for value in values)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """A potential function with fixed constants and domain constraints.
@@ -84,18 +115,9 @@ class PotentialSpec:
     constants: tuple[tuple[str, float], ...] = ()
     constraints: tuple[Expr, ...] = ()
 
-    def __hash__(self) -> int:
-        # specs key every derivative cache: hash their trees once, not per lookup
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes, so never pickle the cache
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    __hash__ = _cached_hash
+    __getstate__ = _state_without_hash
+    in_domain = _in_domain
 
     @classmethod
     def create(
@@ -130,13 +152,6 @@ class PotentialSpec:
             raise ValueError(f"expected a {self.dimension}-dimensional point")
         return dict(zip(self.variables, map(float, point)))
 
-    def in_domain(self, point: Point) -> bool:
-        b = self.bindings(point)
-        try:
-            values = _constraint_tape(self)(b)
-        except Exception:
-            return _satisfies(resolved_constraints(self), b)
-        return not any(value <= 0.0 for value in values)
 
 
 def _satisfies(constraints: Sequence[Expr], bindings: Mapping[str, float]) -> bool:
@@ -170,9 +185,33 @@ def resolved_constraints(spec: PotentialSpec) -> tuple[Expr, ...]:
     return tuple(_resolve(c, spec.constants) for c in spec.constraints)
 
 
+def _domain(owner: "PotentialSpec | MetricField") -> tuple[Expr, ...]:
+    if isinstance(owner, PotentialSpec):
+        return resolved_constraints(owner)
+    return owner.constraints
+
+
 @lru_cache(maxsize=None)
-def _constraint_tape(spec: PotentialSpec):
-    return compile_family(resolved_constraints(spec))
+def _constraint_tape(owner: "PotentialSpec | MetricField"):
+    return compile_family(_domain(owner))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_index(dimension: int, rank: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The sorted index tuples of a totally symmetric tensor, in
+    lexicographic order, and for every index tuple the position of its
+    sorted form among them.
+
+    A symmetric tensor is computed at its sorted indices only and read out
+    in full as ``values[index]``.
+    """
+    ordered = tuple(itertools.combinations_with_replacement(range(dimension), rank))
+    position = {ix: p for p, ix in enumerate(ordered)}
+    index = np.empty((dimension,) * rank, dtype=np.intp)
+    for ix in itertools.product(range(dimension), repeat=rank):
+        index[ix] = position[tuple(sorted(ix))]
+    index.flags.writeable = False
+    return ordered, index
 
 
 @dataclass(frozen=True)
@@ -183,6 +222,10 @@ class MetricField:
     provenance: str = "direct"
     constraints: tuple[Expr, ...] = ()
     name: str = ""
+
+    __hash__ = _cached_hash
+    __getstate__ = _state_without_hash
+    in_domain = _in_domain
 
     @classmethod
     def create(
@@ -213,17 +256,13 @@ class MetricField:
     def bindings(self, point: Point) -> dict[str, float]:
         return dict(zip(_theta_names(self.dimension), map(float, point)))
 
-    def in_domain(self, point: Point) -> bool:
-        return _satisfies(self.constraints, self.bindings(point))
+    def upper_entries(self) -> tuple[Expr, ...]:
+        """The entries ``g_ij`` with ``i <= j``, row by row."""
+        return tuple(self.entries[i][j] for i, j in _symmetric_index(self.dimension, 2)[0])
 
     def evaluate(self, point: Point) -> np.ndarray:
-        b = self.bindings(point)
-        n = self.dimension
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = evaluate(self.entries[i][j], b)
-        return g
+        values = _entry_tape(self)(self.bindings(point))
+        return np.array(values)[_symmetric_index(self.dimension, 2)[1]]
 
     def positive_definite_at(self, point: Point) -> bool:
         g = self.evaluate(point)
@@ -247,16 +286,14 @@ class CubicTensor:
     def dimension(self) -> int:
         return len(self.components)
 
+    def sorted_components(self) -> tuple[Expr, ...]:
+        """The components ``T_ijk`` with ``i <= j <= k``, in lexicographic order."""
+        c = self.components
+        return tuple(c[i][j][k] for i, j, k in _symmetric_index(self.dimension, 3)[0])
+
     def evaluate(self, bindings: Mapping[str, float]) -> np.ndarray:
-        n = self.dimension
-        out = np.empty((n, n, n))
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if i <= j <= k:
-                out[i, j, k] = evaluate(self.components[i][j][k], bindings)
-        for i, j, k in itertools.product(range(n), repeat=3):
-            si, sj, sk = sorted((i, j, k))
-            out[i, j, k] = out[si, sj, sk]
-        return out
+        values = [evaluate(c, bindings) for c in self.sorted_components()]
+        return np.array(values)[_symmetric_index(self.dimension, 3)[1]]
 
 
 @dataclass(eq=False)
@@ -315,6 +352,24 @@ def cubic_tensor(spec: PotentialSpec) -> CubicTensor:
     return CubicTensor(comps)
 
 
+@lru_cache(maxsize=None)
+def _entry_tape(metric: MetricField):
+    """Tape of the metric's upper entries; for a Fisher metric, the Hessian."""
+    return compile_family(metric.upper_entries())
+
+
+@lru_cache(maxsize=None)
+def _hessian_tape(spec: PotentialSpec):
+    """The Fisher metric's entry tape, looked up by its potential."""
+    return _entry_tape(fisher_metric(spec))
+
+
+@lru_cache(maxsize=None)
+def _cubic_tape(spec: PotentialSpec):
+    """Tape of the cubic tensor's sorted components."""
+    return compile_family(cubic_tensor(spec).sorted_components())
+
+
 def alpha_connection(
     spec: PotentialSpec, alpha: float
 ) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
@@ -354,10 +409,10 @@ def alpha_curvature(spec: PotentialSpec, alpha: float, point: Point) -> Curvatur
     ``alpha = +-1``.  All contractions use the numeric inverse metric.
     """
     _require_in_domain(spec, point)
-    b = spec.bindings(point)
     g = fisher_metric(spec).evaluate(point)
     ginv = _checked_inverse(g)
-    tens = cubic_tensor(spec).evaluate(b)
+    index = _symmetric_index(spec.dimension, 3)[1]
+    tens = np.array(_cubic_tape(spec)(spec.bindings(point)))[index]
     prefactor = (1.0 - alpha * alpha) / 4.0
     riemann = prefactor * (
         np.einsum("kmi,jln,mn->ijkl", tens, tens, ginv)
@@ -385,22 +440,33 @@ def _bundle_from_riemann(
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _metric_derivative_exprs(metric: MetricField):
-    """First and second symbolic derivatives of every metric entry."""
+def _metric_derivative_exprs(metric: MetricField) -> tuple[tuple[Expr, ...], tuple[Expr, ...]]:
+    """``d_k g_ij`` ordered by ``k`` and then as :meth:`MetricField.upper_entries`,
+    and ``d_l d_k g_ij`` ordered by ``l`` and then as the first derivatives.
+
+    Each distinct tree object is differentiated once per variable.  The
+    mixed partials ``d_l d_k`` and ``d_k d_l`` are separate trees: they
+    are equal as functions, but not always in the last bits.
+    """
+    memo: dict[tuple[int, str], Expr] = {}
+
+    def derivative(e: Expr, name: str) -> Expr:
+        key = (id(e), name)  # the metric or the memo holds every e, so ids stay unique
+        if key not in memo:
+            memo[key] = simplify(differentiate(e, name))
+        return memo[key]
+
     names = _theta_names(metric.dimension)
-    n = metric.dimension
-    first = [
-        [[simplify(differentiate(metric.entries[i][j], names[k])) for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]
-    second = [
-        [
-            [[simplify(differentiate(first[k][i][j], names[l])) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        for l in range(n)
-    ]
+    first = tuple(derivative(e, v) for v in names for e in metric.upper_entries())
+    second = tuple(derivative(e, v) for v in names for e in first)
     return first, second
+
+
+@lru_cache(maxsize=None)
+def _levi_civita_tape(metric: MetricField):
+    """Tape of the upper entries followed by both derivative families."""
+    first, second = _metric_derivative_exprs(metric)
+    return compile_family(metric.upper_entries() + first + second)
 
 
 def ricci_from_metric(metric: MetricField, point: Point) -> CurvatureBundle:
@@ -417,42 +483,29 @@ def ricci_from_metric(metric: MetricField, point: Point) -> CurvatureBundle:
     """
     if not metric.in_domain(point):
         raise DomainError("point violates the domain constraints", metric.entries[0][0])
-    b = metric.bindings(point)
     n = metric.dimension
-    g = metric.evaluate(point)
+    try:
+        values = np.array(_levi_civita_tape(metric)(metric.bindings(point)))
+    except ExpressionError:
+        # a singular metric is reported before a derivative that fails
+        _checked_inverse(metric.evaluate(point))
+        raise
+    upper, index = _symmetric_index(n, 2)
+    t = len(upper)
+    g = values[:t][index]
     ginv = _checked_inverse(g)
-    first_exprs, second_exprs = _metric_derivative_exprs(metric)
+    dg = values[t:t + n * t].reshape(n, t)[:, index]           # dg[k, i, j] = d_k g_ij
+    ddg = values[t + n * t:].reshape(n, n, t)[:, :, index]     # ddg[l, k, i, j] = d_l d_k g_ij
 
-    dg = np.empty((n, n, n))          # dg[k, i, j] = d_k g_ij
-    ddg = np.empty((n, n, n, n))      # ddg[l, k, i, j] = d_l d_k g_ij
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                dg[k, i, j] = evaluate(first_exprs[k][i][j], b)
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    ddg[l, k, i, j] = evaluate(second_exprs[l][k][i][j], b)
-
-    # Christoffel symbols: Gamma_{ij,m} = (d_i g_jm + d_j g_im - d_m g_ij)/2
-    g1 = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                g1[i, j, m] = 0.5 * (dg[i, j, m] + dg[j, i, m] - dg[m, i, j])
+    # Christoffel symbols: Gamma_{ij,m} = (d_i g_jm + d_j g_im - d_m g_ij)/2,
+    # the transposes reading dg[j, i, m] and dg[m, i, j] at [i, j, m]
+    g1 = 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
     # second kind: G2[l, i, j] = g^{lm} Gamma_{ij,m}
     g2 = np.einsum("lm,ijm->lij", ginv, g1)
 
-    # d_i Gamma_{kj,m} from second derivatives of g
-    dgamma1 = np.empty((n, n, n, n))  # dgamma1[i, k, j, m]
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for m in range(n):
-                    dgamma1[i, k, j, m] = 0.5 * (
-                        ddg[i, k, j, m] + ddg[i, j, k, m] - ddg[i, m, k, j]
-                    )
+    # d_i Gamma_{kj,m} from second derivatives of g, at dgamma1[i, k, j, m]:
+    # (ddg[i, k, j, m] + ddg[i, j, k, m] - ddg[i, m, k, j])/2
+    dgamma1 = 0.5 * (ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1))
     # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
     dginv = -np.einsum("la,iab,bm->ilm", ginv, dg, ginv)
     # d_i G2[l, k, j]

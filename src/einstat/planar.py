@@ -20,20 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .expressions import ExpressionError, compile_family
+from .expressions import ExpressionError
 from .geometry import (
     MetricField,
     PotentialSpec,
     SINGULARITY_THRESHOLD,
     SingularMetricError,
+    _cubic_tape,
+    _hessian_tape,
     _require_in_domain,
-    cubic_tensor,
-    fisher_metric,
 )
 
 DEFAULT_SEED = 42
@@ -56,24 +55,12 @@ def _require_planar(spec: PotentialSpec) -> None:
         raise ValueError(f"'{spec.name}' is {spec.dimension}-dimensional, need 2")
 
 
-@lru_cache(maxsize=None)
-def _hessian_tape(spec: PotentialSpec):
-    g = fisher_metric(spec).entries
-    return compile_family((g[0][0], g[0][1], g[1][1]))
-
-
-@lru_cache(maxsize=None)
-def _third_tape(spec: PotentialSpec):
-    c = cubic_tensor(spec).components
-    return compile_family((c[0][0][0], c[0][0][1], c[0][1][1], c[1][1][1]))
-
-
 def _hessian_values(spec: PotentialSpec, point) -> tuple[float, float, float]:
     return _hessian_tape(spec)(spec.bindings(point))
 
 
 def _third_values(spec: PotentialSpec, point) -> tuple[float, float, float, float]:
-    return _third_tape(spec)(spec.bindings(point))
+    return _cubic_tape(spec)(spec.bindings(point))
 
 
 def _curvature_numerator(h2, h3) -> float:

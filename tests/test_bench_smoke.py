@@ -1,0 +1,49 @@
+"""One pass of every benchmark workload, in process, against its known answers.
+
+``perfbench/run.py`` counts a verdict that disagrees with its known answer
+as a failed operation; this test makes the same comparison in Tier-1, so a
+change that breaks a known answer (or an input the workloads generate)
+fails here, not only in a benchmark run.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+WORKLOADS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+#: Any seed works; every verdict carries its own known answer.
+SEED = 1
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+class Untraced:
+    """The benchmark's tracer interface, calling straight through."""
+
+    def call(self, label, fn, /, *args, **kwargs):
+        return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_pass_gives_every_known_answer(name):
+    workload = workloads.WORKLOADS[name]
+    if workload.cold_every_pass:
+        workloads.clear_caches()
+    wrong = [
+        item.label
+        for item in workload.inputs(SEED, 0)
+        if item.run(Untraced()) is not item.expected
+    ]
+    assert wrong == []

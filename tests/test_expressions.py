@@ -7,6 +7,7 @@ import pytest
 from einstat.catalog import entry_names, get_entry
 from einstat.expressions import (
     Add,
+    Call,
     Const,
     DomainError,
     Mul,
@@ -18,6 +19,7 @@ from einstat.expressions import (
     UnboundVariableError,
     UnknownFunctionError,
     Var,
+    _equal,
     _value_number,
     compile_family,
     differentiate,
@@ -129,10 +131,30 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("func", ["sin", "cos"])
     def test_trig_of_infinity_is_domain_error(self, func):
-        e = parse(f"{func}(x*1e308*1e308)")
+        # 1e999 is an infinite literal; finite operands that overflow raise
+        # before a function sees the infinity
+        e = parse(f"{func}(x*1e999)")
         with pytest.raises(DomainError) as err:
             evaluate(e, {"x": -1.0})
         assert err.value.subtree == e
+
+    @pytest.mark.parametrize(
+        "text, culprit",
+        [
+            ("1e308*10 - 1e308*10", "1e308*10"),
+            ("1e308 + 1e308", "1e308 + 1e308"),
+            ("-1e308 - 1e308", "-1e308 - 1e308"),
+            ("1/(1e308/1e-10)", "1e308/1e-10"),
+        ],
+    )
+    def test_overflow_of_finite_operands_is_domain_error(self, text, culprit):
+        with pytest.raises(DomainError, match="overflow") as err:
+            evaluate(parse(text), {})
+        assert err.value.subtree == parse(culprit)
+
+    def test_infinite_operands_propagate(self):
+        assert evaluate(parse("x + 1"), {"x": math.inf}) == math.inf
+        assert math.isnan(evaluate(parse("x - x"), {"x": math.inf}))
 
     def test_deterministic(self):
         e = parse(NORMAL_PSI)
@@ -253,6 +275,35 @@ class TestSimplify:
             s, depth = s.left, depth + 1
         assert s == Var("t") and depth == 9999
 
+    def test_deep_difference_of_equal_sums_is_zero(self):
+        s = " + ".join(f"t{k}" for k in range(5000))
+        assert simplify(parse(f"({s}) - ({s})")) == Num(0.0)
+
+    def test_tree_equality_is_the_dataclasses(self):
+        nan = math.nan
+        shared = Num(nan)
+        t = Var("t")
+        pairs = [
+            (Num(0.0), Num(-0.0)),
+            (Num(nan), Num(float("nan"))),
+            (Add(t, shared), Add(t, shared)),
+            (Add(t, Num(nan)), Add(t, Num(nan))),
+            (Call("sin", t), Call("cos", t)),
+            (Call("sin", t), Call("sin", Var("t"))),
+            (Var("pi"), Const("pi")),
+            (Sub(t, Num(1.0)), Sub(t, Num(2.0))),
+            (Pow(t, Num(2.0)), Mul(t, Num(2.0))),
+            (Neg(Add(t, Num(-0.0))), Neg(Add(Var("t"), Num(0.0)))),
+        ]
+        for a, b in pairs:
+            assert _equal(a, b) is (a == b)
+
+    def test_power_collapse_keeps_integral_exponents(self):
+        assert simplify(parse("(x^2)^3")) == parse("x^6")
+        collapsed = simplify(parse("(x^1e10)^1e10"))
+        assert collapsed == parse("(x^1e10)^1e10")
+        assert evaluate(collapsed, {"x": -1.0}) == 1.0
+
 
 class TestFiniteDifference:
     def test_cubic_second_derivative(self):
@@ -329,6 +380,7 @@ class TestCompiledFamily:
             ("exp(x*1000)", {"x": 1.0}),
             ("(x*10)^400", {"x": 10.0}),
             ("sin(x*1e308*1e308)", {"x": 1.0}),
+            ("1/(x*1e308*10)", {"x": 1.0}),  # the overflow vanishes downstream
             ("x + y", {"x": 1.0}),
         ],
     )

@@ -4,11 +4,20 @@ import pickle
 import numpy as np
 import pytest
 
-from einstat.expressions import DomainError, finite_difference, parse
+from einstat.expressions import (
+    DomainError,
+    ExpressionError,
+    differentiate,
+    evaluate,
+    finite_difference,
+    parse,
+    simplify,
+)
 from einstat.geometry import (
     MetricField,
     PotentialSpec,
     SingularMetricError,
+    _checked_inverse,
     alpha_connection,
     alpha_curvature,
     cubic_tensor,
@@ -26,11 +35,13 @@ NORMAL = PotentialSpec.create(
 QUADRATIC = PotentialSpec.create("quadratic", 2, "(t^2 + x^2)/2")
 ADDITIVE_EXP = PotentialSpec.create("flat-additive", 2, "exp(t) + exp(x)")
 
+WEIBULL_ENTRIES = (
+    ("x^2/t^2", "-(1 - euler_gamma)/t"),
+    ("-(1 - euler_gamma)/t", "(euler_gamma^2 - 2*euler_gamma + pi^2/6 + 1)/x^2"),
+)
+
 WEIBULL = MetricField.create(
-    [
-        ["x^2/t^2", "-(1 - euler_gamma)/t"],
-        ["-(1 - euler_gamma)/t", "(euler_gamma^2 - 2*euler_gamma + pi^2/6 + 1)/x^2"],
-    ],
+    WEIBULL_ENTRIES,
     provenance="direct",
     constraints=["t", "x"],
     name="weibull-metric",
@@ -75,6 +86,16 @@ class TestPotentialSpec:
             constraints=["-x"],
         )
         assert twin == NORMAL and hash(twin) == hash(NORMAL)
+        assert "_hash" in vars(twin)
+        assert "_hash" not in pickle.loads(pickle.dumps(twin)).__dict__
+
+    def test_metric_hash_is_cached_and_consistent_with_equality(self):
+        twin = MetricField.create(
+            [[text for text in row] for row in WEIBULL_ENTRIES],
+            constraints=["t", "x"],
+            name="weibull-metric",
+        )
+        assert twin == WEIBULL and hash(twin) == hash(WEIBULL)
         assert "_hash" in vars(twin)
         assert "_hash" not in pickle.loads(pickle.dumps(twin)).__dict__
 
@@ -266,3 +287,196 @@ class TestInvariants:
         r0 = alpha_curvature(NORMAL, 0.0, pt).riemann
         rh = alpha_curvature(NORMAL, 0.5, pt).riemann
         assert np.max(np.abs(r0 - (4.0 / 3.0) * rh)) < 1e-10
+
+
+# -- the tree walk that the compiled metric routes reproduce bit for bit ------
+
+def walked_metric(metric, point):
+    b = metric.bindings(point)
+    n = metric.dimension
+    g = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            g[i, j] = g[j, i] = evaluate(metric.entries[i][j], b)
+    return g
+
+
+def walked_in_domain(metric, point):
+    b = metric.bindings(point)
+    for constraint in metric.constraints:
+        try:
+            if evaluate(constraint, b) <= 0.0:
+                return False
+        except ExpressionError:
+            return False
+    return True
+
+
+def walked_riemann(metric, point):
+    """R_klij of the Levi-Civita route: every derivative of every entry
+    built and walked one tree at a time, and the sums as Python loops."""
+    if not walked_in_domain(metric, point):
+        raise DomainError("point violates the domain constraints", metric.entries[0][0])
+    b = metric.bindings(point)
+    n = metric.dimension
+    names = [f"theta{i + 1}" for i in range(n)]
+    g = walked_metric(metric, point)
+    ginv = _checked_inverse(g)
+    first = [
+        [[simplify(differentiate(metric.entries[i][j], names[k])) for j in range(n)] for i in range(n)]
+        for k in range(n)
+    ]
+    dg = np.empty((n, n, n))
+    ddg = np.empty((n, n, n, n))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dg[k, i, j] = evaluate(first[k][i][j], b)
+    for l in range(n):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    second = simplify(differentiate(first[k][i][j], names[l]))
+                    ddg[l, k, i, j] = evaluate(second, b)
+    g1 = np.empty((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                g1[i, j, m] = 0.5 * (dg[i, j, m] + dg[j, i, m] - dg[m, i, j])
+    g2 = np.einsum("lm,ijm->lij", ginv, g1)
+    dgamma1 = np.empty((n, n, n, n))
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                for m in range(n):
+                    dgamma1[i, k, j, m] = 0.5 * (
+                        ddg[i, k, j, m] + ddg[i, j, k, m] - ddg[i, m, k, j]
+                    )
+    dginv = -np.einsum("la,iab,bm->ilm", ginv, dg, ginv)
+    dg2 = np.einsum("ilm,kjm->ilkj", dginv, g1) + np.einsum("lm,ikjm->ilkj", ginv, dgamma1)
+    rup = (
+        np.einsum("ilkj->lkij", dg2)
+        - np.einsum("jlki->lkij", dg2)
+        + np.einsum("hkj,lhi->lkij", g2, g2)
+        - np.einsum("hki,lhj->lkij", g2, g2)
+    )
+    return np.einsum("skij,sl->klij", rup, g)
+
+
+def outcome(fn, *args):
+    """The array's bytes (signed zeros count), or the error's type and text."""
+    try:
+        value = fn(*args)
+    except ExpressionError as exc:
+        return type(exc), str(exc)
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+def scaling_metric(n, seed):
+    """Fisher metric of ``sum exp(theta_i) - ln(linear form)`` whose domain
+    adds ``sqrt(theta1)``, a constraint that raises wherever theta1 < 0."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.5, 1.5, n).tolist()
+    form = " + ".join(f"{v!r}*theta{i + 1}" for i, v in enumerate(coeffs))
+    form += f" + {0.5 * sum(coeffs) + float(rng.uniform(0.2, 1.0))!r}"
+    psi = " + ".join(f"exp(theta{i + 1})" for i in range(n)) + f" - ln({form})"
+    spec = PotentialSpec.create(f"scaling-{n}", n, psi, constraints=[form, "sqrt(theta1)"])
+    points = [tuple(rng.uniform(-0.5, 0.5, n).tolist()) for _ in range(8)]
+    return fisher_metric(spec), points
+
+
+def weibull_cases():
+    rng = np.random.default_rng(3)
+    points = [tuple(p) for p in rng.uniform(0.5, 3.0, (8, 2)).tolist()]
+    # ln(t - 1) raises for t < 1 and is not positive up to t = 2
+    raising = MetricField.create(WEIBULL_ENTRIES, constraints=["t", "x", "ln(t - 1)"])
+    # without the constraint on t, the entries divide by zero at t = 0
+    unguarded = MetricField.create(WEIBULL_ENTRIES, constraints=["x"])
+    return [
+        (WEIBULL, points),
+        (raising, points),
+        (unguarded, points[:3] + [(0.0, 1.0), (-1.5, 2.0)]),
+    ]
+
+
+class TestCompiledMetricRoutes:
+    """The tapes give the tree walk's values bit for bit, and its errors."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_weibull(self, case):
+        metric, points = weibull_cases()[case]
+        self.assert_walked(metric, points)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_scaling_potential_metrics(self, n):
+        metric, points = scaling_metric(n, seed=n)
+        self.assert_walked(metric, points)
+
+    def test_singular_metric_is_reported_before_a_failing_derivative(self):
+        # at x = 0 the metric vanishes and d_x d_x x^1.5 divides by zero
+        metric = MetricField.create([["x^1.5", "0"], ["0", "x^1.5"]])
+        with pytest.raises(SingularMetricError):
+            ricci_from_metric(metric, (1.0, 0.0))
+        self.assert_walked(metric, [(1.0, 0.0), (1.0, 2.0)])
+
+    @staticmethod
+    def assert_walked(metric, points):
+        inside = 0
+        for pt in points:
+            assert metric.in_domain(pt) is walked_in_domain(metric, pt)
+            inside += walked_in_domain(metric, pt)
+            assert outcome(metric.evaluate, pt) == outcome(walked_metric, metric, pt)
+            riemann = outcome(lambda p: ricci_from_metric(metric, p).riemann, pt)
+            assert riemann == outcome(walked_riemann, metric, pt)
+        assert 0 < inside
+
+
+class TestRouteAgreement:
+    """Property: on random convex separable potentials, with and without a
+    ``-ln(linear form)`` coupling that makes them curved, the cubic-tensor
+    route at alpha = 0 and the Levi-Civita route give one Ricci tensor."""
+
+    #: Convex functions of one coordinate ``s`` for coefficients a, b > 0.
+    TERMS = (
+        "{a}*exp({b}*s)",
+        "{a}*s^2",
+        "{a}*(exp({b}*s) + exp(-{b}*s))",
+        "{a}*s^4 + {b}*s^2",
+        "-{a}*ln({b} + 1 - s)",
+    )
+
+    def test_routes_agree(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        coefficient = st.floats(0.5, 2.0)
+        coordinate = st.floats(-0.5, 0.5)
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(2, 4))
+            names = [f"theta{i + 1}" for i in range(n)]
+            terms = [
+                draw(st.sampled_from(self.TERMS)).format(
+                    a=repr(draw(coefficient)), b=repr(draw(coefficient))
+                ).replace("s", name)
+                for name in names
+            ]
+            weights = [draw(coefficient) for _ in range(n)]
+            form = " + ".join(f"{w!r}*{v}" for w, v in zip(weights, names))
+            form += f" + {0.5 * sum(weights) + draw(coefficient)!r}"
+            coupling = draw(st.sampled_from([0.0, 1.0])) * draw(coefficient)
+            psi = " + ".join(terms) + f" - {coupling!r}*ln({form})"
+            point = tuple(draw(coordinate) for _ in range(n))
+            return n, psi, form, point
+
+        @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+        @hypothesis.given(cases())
+        def check(case):
+            n, psi, form, point = case
+            spec = PotentialSpec.create("separable", n, psi, constraints=[form])
+            cubic = alpha_curvature(spec, 0.0, point).ricci
+            levi = ricci_from_metric(fisher_metric(spec), point).ricci
+            assert np.max(np.abs(cubic - levi)) <= 1e-8 * max(1.0, np.max(np.abs(levi)))
+
+        check()

@@ -263,11 +263,18 @@ class TestInvariance:
         assert not report.passed
 
     def test_nan_residual_fails(self):
-        # exp(400+t)^2 overflows, so X(f) is inf - inf = NaN at every sample
-        f = parse("u*(exp(400+t)*exp(400+t) - exp(400+t)*exp(399+t)*exp(1) + 1)")
+        # 1e999 is an infinite literal, so X(f) is inf - inf = NaN at every sample
+        f = parse("u*(exp(t)*1e999 - exp(x)*1e999 + 1)")
         report = invariance_check(HEAT_GENERATORS["H3"], f, seed=42)
         assert not report.passed
         assert np.isnan(report.max_residual)
+
+    def test_overflowing_samples_are_skipped(self):
+        # exp(400+t)^2 overflows from finite operands at every sample
+        f = parse("u*(exp(400+t)*exp(400+t) - exp(400+t)*exp(399+t)*exp(1) + 1)")
+        report = invariance_check(HEAT_GENERATORS["H3"], f, seed=42)
+        assert not report.passed
+        assert (report.evaluated, report.skipped) == (0, report.samples)
 
 
 class TestRegistry:

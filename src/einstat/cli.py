@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import __version__
@@ -143,17 +144,30 @@ def _report(seed, input_desc, results, passed) -> dict:
     }
 
 
+def _finite(value):
+    """``value`` with every non-finite float replaced by ``None``: JSON has
+    no NaN or infinity, so they print as ``null``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _render_text(payload: dict) -> str:
     lines = [f"pass: {payload['pass']}"]
     for item in payload["results"]:
-        lines.append(json.dumps(item))
+        lines.append(json.dumps(item, allow_nan=False))
     return "\n".join(lines) + "\n"
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     fmt = getattr(args, "format", "json")
+    payload = _finite(payload)
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif fmt == "text":
         text = _render_text(payload)
     elif fmt == "csv":

@@ -690,6 +690,13 @@ def _fold(e: Expr) -> Expr:
         return e
 
 
+def _unfolded(e: Expr) -> bool:
+    """Whether ``e`` is a constant that :func:`_fold` left standing: it
+    evaluates nowhere, so ``e - e`` must not become a number."""
+    operands = _operands(e)
+    return bool(operands) and all(isinstance(o, Num) for o in operands)
+
+
 def _equal(a: Expr, b: Expr) -> bool:
     """``a == b`` without recursion: the dataclasses' structural equality,
     under which a subtree is equal to itself, ``0.0`` equals ``-0.0`` and a
@@ -720,7 +727,7 @@ def _add(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 0.0):
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
+        return _fold(Add(a, b))
     return Add(a, b)
 
 
@@ -730,8 +737,8 @@ def _sub(a: Expr, b: Expr) -> Expr:
     if _is_num(a, 0.0):
         return _neg(b)
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    if _equal(a, b):
+        return _fold(Sub(a, b))
+    if _equal(a, b) and not _unfolded(a):
         return ZERO
     return Sub(a, b)
 
@@ -744,7 +751,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 1.0):
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
+        return _fold(Mul(a, b))
     return Mul(a, b)
 
 
@@ -753,8 +760,8 @@ def _div(a: Expr, b: Expr) -> Expr:
         return ZERO
     if _is_num(b, 1.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-        return Num(a.value / b.value)
+    if isinstance(a, Num) and isinstance(b, Num):
+        return _fold(Div(a, b))
     return Div(a, b)
 
 
@@ -799,10 +806,11 @@ def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to variable ``name``.
 
     The result is built through the rewrite rules of :func:`simplify`,
-    one node at a time, so it folds constants and drops zero and unit
-    factors but is otherwise unsimplified; it always evaluates correctly.
-    For a constant exponent the power rule is used (valid for negative
-    bases), otherwise the logarithmic form ``b^p (p' ln b + p b'/b)``.
+    one node at a time, from new nodes and subtrees of ``e``.  So the
+    derivative of a simplified tree is simplified: :func:`simplify` would
+    return an equal tree, and it need not be walked again.  For a constant
+    exponent the power rule is used (valid for negative bases), otherwise
+    the logarithmic form ``b^p (p' ln b + p b'/b)``.
     """
     if isinstance(e, (Num, Const)):
         return ZERO
@@ -876,6 +884,9 @@ def simplify(e: Expr) -> Expr:
     its simplified operands, so depth costs no recursion.  Wherever ``e``
     evaluates to a finite number, the result evaluates to the same number,
     up to the rounding of a collapsed power.
+
+    Run it where a tree enters from outside: :func:`differentiate` of a
+    simplified tree is already simplified.
     """
     return _post_order((e,), _rebuild)[0]
 

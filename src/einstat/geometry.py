@@ -246,8 +246,10 @@ class MetricField:
             for j in range(i + 1, n):
                 if parsed[i][j] != parsed[j][i]:
                     raise ValueError(f"metric entry ({i},{j}) is not symmetric")
+        # simplified here, the entries' derivatives are simplified as built
+        simplified = tuple(tuple(map(simplify, row)) for row in parsed)
         constraint_exprs = tuple(_normalize_aliases(_as_expr(c), n) for c in constraints)
-        return cls(parsed, provenance, constraint_exprs, name)
+        return cls(simplified, provenance, constraint_exprs, name)
 
     @property
     def dimension(self) -> int:
@@ -318,11 +320,8 @@ def fisher_metric(spec: PotentialSpec) -> MetricField:
     psi = resolved_potential(spec)
     names = spec.variables
     n = spec.dimension
-    firsts = [simplify(differentiate(psi, v)) for v in names]
-    upper: dict[tuple[int, int], Expr] = {}
-    for i in range(n):
-        for j in range(i, n):
-            upper[(i, j)] = simplify(differentiate(firsts[i], names[j]))
+    firsts = [differentiate(psi, v) for v in names]
+    upper = {(i, j): differentiate(firsts[i], names[j]) for i, j in _symmetric_index(n, 2)[0]}
     entries = tuple(
         tuple(upper[(min(i, j), max(i, j))] for j in range(n)) for i in range(n)
     )
@@ -335,13 +334,10 @@ def cubic_tensor(spec: PotentialSpec) -> CubicTensor:
     metric = fisher_metric(spec)
     names = spec.variables
     n = spec.dimension
-    by_sorted_index: dict[tuple[int, int, int], Expr] = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                by_sorted_index[(i, j, k)] = simplify(
-                    differentiate(metric.entries[i][j], names[k])
-                )
+    by_sorted_index = {
+        (i, j, k): differentiate(metric.entries[i][j], names[k])
+        for i, j, k in _symmetric_index(n, 3)[0]
+    }
     comps = tuple(
         tuple(
             tuple(by_sorted_index[tuple(sorted((i, j, k)))] for k in range(n))
@@ -453,7 +449,7 @@ def _metric_derivative_exprs(metric: MetricField) -> tuple[tuple[Expr, ...], tup
     def derivative(e: Expr, name: str) -> Expr:
         key = (id(e), name)  # the metric or the memo holds every e, so ids stay unique
         if key not in memo:
-            memo[key] = simplify(differentiate(e, name))
+            memo[key] = differentiate(e, name)
         return memo[key]
 
     names = _theta_names(metric.dimension)

@@ -90,6 +90,32 @@ class TestCheckCommand:
         assert out == ""
         assert err == "error: division by zero in '0/0'\n"
 
+    def test_overflowing_constant_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--expr", "(1e308*10 - 1e308*10)*t^3 + t^2 + x^2",
+            "--lambda", "0", "--samples", "2",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_numbers_print_as_null(self, capsys, fmt):
+        code, out, _ = run(
+            capsys, "check", "--expr", "1e400*t^3 + t^2 + x^2", "--lambda", "0",
+            "--samples", "2", "--format", fmt,
+        )
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        if fmt == "text":
+            results = [json.loads(line, parse_constant=reject) for line in out.splitlines()[1:]]
+        else:
+            results = json.loads(out, parse_constant=reject)["results"]
+        assert results[0]["max_relative_residual"] is None
+
     @pytest.mark.parametrize("expr", ["t+x", "x^2", "exp(1000*t)-exp(1000*t)+exp(x)"])
     def test_singular_metric_fails(self, capsys, expr):
         # every residual is 0 - 0 without a Fisher metric, whatever lambda is

@@ -99,6 +99,14 @@ class TestPotentialSpec:
         assert "_hash" in vars(twin)
         assert "_hash" not in pickle.loads(pickle.dumps(twin)).__dict__
 
+    def test_metric_entries_are_simplified(self):
+        metric = MetricField.create([["0*t + x^1", "2*3"], ["2*3", "t"]])
+        assert metric.entries == ((parse("theta2"), parse("6")), (parse("6"), parse("theta1")))
+
+    def test_metric_symmetry_is_checked_before_simplifying(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            MetricField.create([["1", "t - t"], ["0", "1"]])
+
 
 class TestFisherMetric:
     def test_normal_at_unit_sigma(self):

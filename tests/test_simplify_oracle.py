@@ -4,7 +4,9 @@ The reference below is the earlier implementation, kept verbatim: a
 second copy of the rewrite rules, applied bottom-up and re-walked until
 the tree stops changing.  The single pass through the shared smart
 constructors must give the same tree, down to the sign of every zero,
-which ``repr`` shows and ``==`` does not.
+which ``repr`` shows and ``==`` does not.  ``differentiate`` of a
+simplified tree must be a fixpoint of the reference, since geometry uses
+such derivatives without simplifying them again.
 """
 
 import math
@@ -22,6 +24,7 @@ from einstat.expressions import (
     Call,
     Const,
     Div,
+    DomainError,
     Expr,
     ExpressionError,
     Mul,
@@ -32,6 +35,7 @@ from einstat.expressions import (
     Var,
     _is_integral,
     _is_num,
+    differentiate,
     evaluate,
     parse,
     simplify,
@@ -142,7 +146,7 @@ def reference_simplify(e: Expr) -> Expr:
     return e
 
 
-# -- every simplify input of the symbolic pipelines ---------------------------
+# -- every simplify input and derivative of the symbolic pipelines -----------
 
 _CACHED = (
     geometry.resolved_potential,
@@ -152,18 +156,38 @@ _CACHED = (
     geometry._metric_derivative_exprs,
 )
 
+#: The trees each derivative builder returns.
+_RETURNED_TREES = {
+    "fisher_metric": geometry.MetricField.upper_entries,
+    "cubic_tensor": geometry.CubicTensor.sorted_components,
+    "_metric_derivative_exprs": lambda families: families[0] + families[1],
+}
 
-def _recorded_inputs(monkeypatch, build) -> list[Expr]:
-    """Every tree that ``build()`` hands to ``simplify`` in the geometry and
-    jet layers, with their derivative caches cold."""
-    inputs: list[Expr] = []
+
+def _recorded(monkeypatch, build) -> list[tuple[Expr, Expr]]:
+    """Pairs ``(tree, ours)`` from ``build()`` with cold derivative caches:
+    every tree the geometry and jet layers hand to ``simplify`` with its
+    result, and every tree geometry's derivative builders return with
+    itself, since ``differentiate`` builds it simplified."""
+    pairs: dict[int, tuple[Expr, Expr]] = {}  # by id: each pair holds its tree
 
     def recording(e):
-        inputs.append(e)
-        return simplify(e)
+        result = simplify(e)
+        pairs[id(e)] = (e, result)
+        return result
+
+    def returning(builder, trees):
+        def wrapper(arg):
+            result = builder(arg)
+            pairs.update((id(t), (t, t)) for t in trees(result))
+            return result
+
+        return wrapper
 
     monkeypatch.setattr(geometry, "simplify", recording)
     monkeypatch.setattr(jets, "simplify", recording)
+    for name, trees in _RETURNED_TREES.items():
+        monkeypatch.setattr(geometry, name, returning(getattr(geometry, name), trees))
     for cached in _CACHED:
         cached.cache_clear()
     try:
@@ -171,13 +195,13 @@ def _recorded_inputs(monkeypatch, build) -> list[Expr]:
     finally:
         for cached in _CACHED:
             cached.cache_clear()
-    assert inputs
-    return inputs
+    assert pairs
+    return list(pairs.values())
 
 
-def _assert_matches_reference(inputs):
-    for e in inputs:
-        assert repr(simplify(e)) == repr(reference_simplify(e))
+def _assert_matches_reference(pairs):
+    for e, ours in pairs:
+        assert repr(ours) == repr(reference_simplify(e))
 
 
 def _build_catalog():
@@ -185,8 +209,10 @@ def _build_catalog():
         entry = get_entry(name)
         if entry.kind == "potential":
             geometry.cubic_tensor(entry.potential)  # also the potential and the metric
+            metric = geometry.fisher_metric(entry.potential)
         else:
-            geometry._metric_derivative_exprs(entry.metric)
+            metric = entry.metric
+        geometry._metric_derivative_exprs(metric)
 
 
 def _scaling_potential(n: int, seed: int) -> geometry.PotentialSpec:
@@ -215,21 +241,18 @@ def _build_prolongations():
 
 class TestReferenceEquality:
     def test_catalog_potentials_metrics_and_cubic_tensors(self, monkeypatch):
-        inputs = _recorded_inputs(monkeypatch, _build_catalog)
-        _assert_matches_reference(inputs)
+        _assert_matches_reference(_recorded(monkeypatch, _build_catalog))
 
     def test_weibull_metric_derivatives(self, monkeypatch):
         metric = get_entry("weibull-metric").metric
-        inputs = _recorded_inputs(monkeypatch, lambda: geometry._metric_derivative_exprs(metric))
-        _assert_matches_reference(inputs)
+        pairs = _recorded(monkeypatch, lambda: geometry._metric_derivative_exprs(metric))
+        _assert_matches_reference(pairs)
 
     def test_scaling_metric_families(self, monkeypatch):
-        inputs = _recorded_inputs(monkeypatch, _build_scaling_families)
-        _assert_matches_reference(inputs)
+        _assert_matches_reference(_recorded(monkeypatch, _build_scaling_families))
 
     def test_generator_prolongations_and_action_terms(self, monkeypatch):
-        inputs = _recorded_inputs(monkeypatch, _build_prolongations)
-        _assert_matches_reference(inputs)
+        _assert_matches_reference(_recorded(monkeypatch, _build_prolongations))
 
     @pytest.mark.parametrize(
         "text",
@@ -247,33 +270,35 @@ class TestReferenceEquality:
         assert repr(simplify(e)) == repr(reference_simplify(e))
 
 
+def _random_trees(st):
+    numbers = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.5]).map(Num)
+    leaves = numbers | st.just(Const("pi")) | st.sampled_from(["t", "x"]).map(Var)
+
+    def extend(children):
+        unary = st.one_of(
+            children.map(Neg),
+            st.tuples(st.sampled_from(["exp", "ln", "sqrt", "sin", "cos"]), children).map(
+                lambda pair: Call(*pair)
+            ),
+        )
+        binary = st.tuples(
+            st.sampled_from([Add, Sub, Mul, Div, Pow]), children, children
+        ).map(lambda triple: triple[0](triple[1], triple[2]))
+        return unary | binary
+
+    return st.recursive(leaves, extend, max_leaves=32)
+
+
 class TestRandomTrees:
     """Property: equal to the reference on random trees, and value-preserving."""
 
     def test_matches_reference_and_preserves_values(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-
-        numbers = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.5]).map(Num)
-        leaves = numbers | st.just(Const("pi")) | st.sampled_from(["t", "x"]).map(Var)
-
-        def extend(children):
-            unary = st.one_of(
-                children.map(Neg),
-                st.tuples(st.sampled_from(["exp", "ln", "sqrt", "sin", "cos"]), children).map(
-                    lambda pair: Call(*pair)
-                ),
-            )
-            binary = st.tuples(
-                st.sampled_from([Add, Sub, Mul, Div, Pow]), children, children
-            ).map(lambda triple: triple[0](triple[1], triple[2]))
-            return unary | binary
-
-        trees = st.recursive(leaves, extend, max_leaves=32)
         coordinate = st.floats(-3.0, 3.0, allow_nan=False)
 
         @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
-        @hypothesis.given(trees, coordinate, coordinate)
+        @hypothesis.given(_random_trees(st), coordinate, coordinate)
         def check(e, t, x):
             simplified = simplify(e)
             assert repr(simplified) == repr(reference_simplify(e))
@@ -290,3 +315,30 @@ class TestRandomTrees:
             )
 
         check()
+
+    def test_derivative_of_simplified_tree_is_simplified(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+        @hypothesis.given(_random_trees(st))
+        def check(e):
+            s = simplify(e)
+            for v in ("t", "x"):
+                d = differentiate(s, v)
+                assert repr(d) == repr(reference_simplify(d))
+
+        check()
+
+
+class TestOverflowingConstants:
+    """Constants whose folding overflows stay unfolded, so they still raise."""
+
+    def test_overflowing_difference_is_not_folded_to_nan(self):
+        e = parse("1e308*10 - 1e308*10")
+        simplified = simplify(e)
+        assert repr(simplified) == repr(e)
+        with pytest.raises(DomainError, match="overflow"):
+            evaluate(simplified, {})
+        # the reference folded it to a NaN
+        assert math.isnan(reference_simplify(e).value)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -27,6 +28,7 @@ import sys
 
 from . import __version__
 from .catalog import (
+    PDE_RESIDUAL_TOL,
     entry_to_dict,
     export_catalog,
     get_entry,
@@ -35,7 +37,6 @@ from .catalog import (
     verify_entry,
 )
 from .expressions import (
-    DomainError,
     ExpressionError,
     ParseError,
     parse as parse_expression,
@@ -58,7 +59,6 @@ from .jets import (
 )
 from .planar import (
     DEFAULT_SEED,
-    SamplingError,
     convexity_scan,
     grid_centers,
     lambda_estimate,
@@ -66,8 +66,10 @@ from .planar import (
     sample_points,
 )
 
-PDE_TOLERANCE = 1e-7
 LSC_TOLERANCES = {"heat": 1e-9, "txpeq": 1e-7}
+#: ``check --expr`` defaults; ``check --catalog`` takes its entry's own.
+CHECK_BOX = "-1,1,-1,1"
+CHECK_SAMPLES = 100
 
 
 class UsageError(Exception):
@@ -111,8 +113,8 @@ def _positive_int(text: str) -> int:
 
 def _resolve_potential(args) -> tuple[PotentialSpec, dict]:
     """Exactly one of --expr / --catalog selects the input."""
-    has_expr = getattr(args, "expr", None) is not None
-    has_catalog = getattr(args, "catalog", None) is not None
+    has_expr = args.expr is not None
+    has_catalog = args.catalog is not None
     if has_expr == has_catalog:
         raise UsageError("provide exactly one of --expr or --catalog")
     if has_expr:
@@ -134,16 +136,6 @@ def _resolve_generator(text: str):
     )
 
 
-def _report(seed, input_desc, results, passed) -> dict:
-    return {
-        "tool_version": __version__,
-        "seed": seed,
-        "input": input_desc,
-        "results": results,
-        "pass": passed,
-    }
-
-
 def _finite(value):
     """``value`` with every non-finite float replaced by ``None``: JSON has
     no NaN or infinity, so they print as ``null``."""
@@ -156,36 +148,36 @@ def _finite(value):
     return value
 
 
-def _render_text(payload: dict) -> str:
-    lines = [f"pass: {payload['pass']}"]
-    for item in payload["results"]:
-        lines.append(json.dumps(item, allow_nan=False))
-    return "\n".join(lines) + "\n"
-
-
-def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
-    fmt = getattr(args, "format", "json")
-    payload = _finite(payload)
-    if fmt == "json":
+def _emit(args, input_desc, results, passed, csv_rows=None, csv_header=None) -> int:
+    """Write the report in ``args.format`` to ``args.out`` or stdout and
+    return the exit code of its verdict: 0 on pass, 1 on fail."""
+    payload = _finite({
+        "tool_version": __version__,
+        "seed": args.seed,
+        "input": input_desc,
+        "results": results,
+        "pass": passed,
+    })
+    if args.format == "json":
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    elif fmt == "text":
-        text = _render_text(payload)
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is only available for grid results")
+    elif args.format == "text":
+        lines = [f"pass: {payload['pass']}"]
+        lines.extend(json.dumps(item, allow_nan=False) for item in payload["results"])
+        text = "\n".join(lines) + "\n"
+    elif csv_rows is None:
+        raise UsageError("csv output is only available for grid results")
+    else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
         text = buffer.getvalue()
-    else:  # pragma: no cover
-        raise UsageError(f"unknown format '{fmt}'")
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as handle:
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +186,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
 
 def _cmd_parse(args) -> int:
     tree = parse_expression(args.expr)
-    payload = _report(
-        args.seed, {"expr": args.expr}, [{"normalized": to_text(tree)}], True
-    )
-    _emit(args, payload)
-    return 0
+    return _emit(args, {"expr": args.expr}, [{"normalized": to_text(tree)}], True)
 
 
 def _curvature_record(pt, bundle) -> dict:
@@ -215,8 +203,11 @@ def _cmd_curvature(args) -> int:
     box = _parse_box(args.box)
     results = []
     csv_rows = []
-    if getattr(args, "catalog", None) is not None and get_entry(args.catalog).kind == "direct-metric":
-        source = get_entry(args.catalog).metric
+    entry = get_entry(args.catalog) if args.catalog is not None and args.expr is None else None
+    if entry is not None and entry.kind == "direct-metric":
+        if args.alpha != 0:
+            raise UsageError(f"--alpha needs a potential; '{args.catalog}' is a direct metric")
+        source = entry.metric
         input_desc = {"catalog": args.catalog, "alpha": 0.0}
 
         def bundle_at(pt):
@@ -246,35 +237,36 @@ def _cmd_curvature(args) -> int:
         for pt in sample_points(source, box, args.samples, args.seed):
             results.append(_curvature_record(pt, bundle_at(pt)))
     input_desc["box"] = list(box)
-    payload = _report(args.seed, input_desc, results, True)
-    _emit(args, payload, csv_rows, ("row", "col", "t", "x", "kappa", "scalar", "r1212"))
-    return 0
+    header = ("row", "col", "t", "x", "kappa", "scalar", "r1212")
+    return _emit(args, input_desc, results, True, csv_rows, header)
 
 
 def _cmd_check(args) -> int:
-    if getattr(args, "catalog", None) is not None and getattr(args, "expr", None) is None:
+    if args.catalog is not None and args.expr is None:
+        given = [flag for flag, value in (
+            ("--lambda", args.lam), ("--samples", args.samples), ("--box", args.box),
+        ) if value is not None]
+        if given:
+            raise UsageError(
+                f"{', '.join(given)} cannot be used with --catalog: the entry is checked"
+                " at its own lambda, samples and box"
+            )
         report = verify_entry(args.catalog, seed=args.seed)
-        payload = _report(
-            args.seed,
-            {"catalog": args.catalog, "lambda": report.expected_lambda},
-            [report.to_dict()],
-            report.passed,
-        )
-        _emit(args, payload)
-        return 0 if report.passed else 1
+        input_desc = {"catalog": args.catalog, "lambda": report.expected_lambda}
+        return _emit(args, input_desc, [report.to_dict()], report.passed)
 
     spec, input_desc = _resolve_potential(args)
     if args.lam is None:
         raise UsageError("--lambda is required with --expr")
-    lam = args.lam
-    box = _parse_box(args.box)
-    points = sample_points(spec, box, args.samples, seed=args.seed)
+    box = _parse_box(CHECK_BOX if args.box is None else args.box)
+    samples = CHECK_SAMPLES if args.samples is None else args.samples
+    points = sample_points(spec, box, samples, seed=args.seed)
     results = []
     for pt in points:
-        residual = pde_residual(spec, lam, pt, relative=True)
+        residual = pde_residual(spec, args.lam, pt, relative=True)
         results.append({"point": list(pt), "relative_residual": residual})
     worst = worst_residual(abs(r["relative_residual"]) for r in results)
-    passed = worst < PDE_TOLERANCE
+    passed = worst < PDE_RESIDUAL_TOL
     summary = {"max_relative_residual": worst}
     try:
         est = lambda_estimate(spec, points)
@@ -285,10 +277,8 @@ def _cmd_check(args) -> int:
         passed = False
     except (ExpressionError, ValueError):
         pass
-    input_desc.update({"lambda": lam, "box": list(box), "samples": args.samples})
-    payload = _report(args.seed, input_desc, [summary] + results, passed)
-    _emit(args, payload)
-    return 0 if passed else 1
+    input_desc.update({"lambda": args.lam, "box": list(box), "samples": samples})
+    return _emit(args, input_desc, [summary] + results, passed)
 
 
 def _cmd_convexity(args) -> int:
@@ -296,27 +286,26 @@ def _cmd_convexity(args) -> int:
     box = _parse_box(args.box)
     grid = _parse_grid(args.grid)
     report = convexity_scan(spec, box, grid)
-    payload = _report(
-        args.seed,
+    _emit(
+        args,
         {**input_desc, "box": list(box), "grid": list(grid)},
         [report.to_dict()],
         report.counts["convex"] > 0,
+        list(report.csv_rows()),
+        ("row", "col", "t", "x", "verdict"),
     )
-    rows = list(report.csv_rows())
-    _emit(args, payload, rows, ("row", "col", "t", "x", "verdict"))
-    return 0
+    return 0  # a scan reports; it does not verify
 
 
 def _cmd_symmetry_verify(args) -> int:
     gen = _resolve_generator(args.gen)
     equation, leading = equation_for(args.pde, args.lam if args.lam is not None else 1.0)
-    tolerance = LSC_TOLERANCES[args.pde]
     report = lsc_check(
         gen, equation, leading, samples=args.samples, seed=args.seed,
-        tolerance=tolerance, label=args.pde,
+        tolerance=LSC_TOLERANCES[args.pde], label=args.pde,
     )
-    payload = _report(
-        args.seed,
+    return _emit(
+        args,
         {"pde": args.pde, "lambda": args.lam, "gen": args.gen, "samples": args.samples},
         [
             {
@@ -328,16 +317,14 @@ def _cmd_symmetry_verify(args) -> int:
         ],
         report.passed,
     )
-    _emit(args, payload)
-    return 0 if report.passed else 1
 
 
 def _cmd_invariant_check(args) -> int:
     gen = _resolve_generator(args.gen)
     function = parse_expression(args.expr)
     report = invariance_check(gen, function, samples=args.samples, seed=args.seed)
-    payload = _report(
-        args.seed,
+    return _emit(
+        args,
         {"gen": args.gen, "expr": args.expr, "samples": args.samples},
         [
             {
@@ -351,34 +338,21 @@ def _cmd_invariant_check(args) -> int:
         ],
         report.passed,
     )
-    _emit(args, payload)
-    return 0 if report.passed else 1
 
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
-        payload = _report(args.seed, {}, list_entries(), True)
-        _emit(args, payload)
-        return 0
+        return _emit(args, {}, list_entries(), True)
     if args.action == "export":
-        if args.name:
-            results = [entry_to_dict(get_entry(args.name))]
-        else:
-            results = export_catalog()
-        payload = _report(args.seed, {"name": args.name}, results, True)
-        _emit(args, payload)
-        return 0
+        results = [entry_to_dict(get_entry(args.name))] if args.name else export_catalog()
+        return _emit(args, {"name": args.name}, results, True)
     # verify
     if args.name:
         reports = [verify_entry(args.name, seed=args.seed)]
     else:
         reports = verify_all(seed=args.seed)
     passed = all(r.passed for r in reports)
-    payload = _report(
-        args.seed, {"name": args.name}, [r.to_dict() for r in reports], passed
-    )
-    _emit(args, payload)
-    return 0 if passed else 1
+    return _emit(args, {"name": args.name}, [r.to_dict() for r in reports], passed)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", help="inline potential in t, x")
     p.add_argument("--catalog", help="catalog entry name")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="curvature parameter")
-    p.add_argument("--samples", type=_positive_int, default=100, help="sample count (default 100)")
-    _add_common(p, box_default="-1,1,-1,1")
-    p.set_defaults(handler=_cmd_check)
+    p.add_argument("--samples", type=_positive_int, help=f"sample count (default {CHECK_SAMPLES})")
+    _add_common(p, box_default=CHECK_BOX)
+    # None marks a flag the user did not give; _cmd_check fills in the defaults
+    p.set_defaults(handler=_cmd_check, box=None)
 
     p = commands.add_parser("convexity", help="convexity scan over a box")
     p.add_argument("--expr", help="inline potential in t, x")
@@ -490,27 +465,29 @@ def _normalize_argv(argv):
     return merged
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _normalize_argv(list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, KeyError, ValueError) as exc:
+    except (UsageError, ParseError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: expression is nested too deeply", file=sys.stderr)
         return 2
-    except (DomainError, SingularMetricError, SamplingError, ExpressionError) as exc:
+    except ExpressionError as exc:  # DomainError, SingularMetricError, SamplingError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

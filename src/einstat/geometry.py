@@ -85,6 +85,12 @@ def _state_without_hash(self) -> dict:
     return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
+def _bindings(self, point: Point) -> dict[str, float]:  # of both PotentialSpec and MetricField
+    if len(point) != self.dimension:
+        raise ValueError(f"expected a {self.dimension}-dimensional point")
+    return dict(zip(_theta_names(self.dimension), map(float, point)))
+
+
 def _in_domain(self, point: Point) -> bool:  # in_domain of both PotentialSpec and MetricField
     """Whether every domain constraint is strictly positive at the point.
 
@@ -117,6 +123,7 @@ class PotentialSpec:
 
     __hash__ = _cached_hash
     __getstate__ = _state_without_hash
+    bindings = _bindings
     in_domain = _in_domain
 
     @classmethod
@@ -146,12 +153,6 @@ class PotentialSpec:
 
     def constants_map(self) -> dict[str, float]:
         return dict(self.constants)
-
-    def bindings(self, point: Point) -> dict[str, float]:
-        if len(point) != self.dimension:
-            raise ValueError(f"expected a {self.dimension}-dimensional point")
-        return dict(zip(self.variables, map(float, point)))
-
 
 
 def _satisfies(constraints: Sequence[Expr], bindings: Mapping[str, float]) -> bool:
@@ -225,6 +226,7 @@ class MetricField:
 
     __hash__ = _cached_hash
     __getstate__ = _state_without_hash
+    bindings = _bindings
     in_domain = _in_domain
 
     @classmethod
@@ -254,9 +256,6 @@ class MetricField:
     @property
     def dimension(self) -> int:
         return len(self.entries)
-
-    def bindings(self, point: Point) -> dict[str, float]:
-        return dict(zip(_theta_names(self.dimension), map(float, point)))
 
     def upper_entries(self) -> tuple[Expr, ...]:
         """The entries ``g_ij`` with ``i <= j``, row by row."""

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import einstat
 from einstat.catalog import get_entry
 from einstat.cli import main
 from einstat.planar import grid_centers, sample_points
@@ -163,6 +169,14 @@ class TestCurvatureCommand:
 
         for record in payload["results"]:
             assert record["kappa"] == pytest.approx(-6 / math.pi ** 2, abs=1e-9)
+
+    def test_direct_metric_entry_accepts_alpha_zero(self, capsys):
+        argv = ["curvature", "--catalog", "weibull-metric", "--samples", "3"]
+        argv += ["--box", "0.5,3,0.5,3"]
+        _, expected, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--alpha", "0")
+        assert code == 0
+        assert out == expected
 
     def test_grid_csv(self, capsys):
         code, out, _ = run(
@@ -343,6 +357,72 @@ def test_samples_must_be_positive(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and "--samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "--catalog", "weibull-metric", "--lambda", "0"], "--lambda"),
+        (["check", "--catalog", "normal-natural", "--samples", "3"], "--samples"),
+        (["check", "--catalog", "normal-natural", "--box", "0,1,0,1"], "--box"),
+        (["check", "--catalog", "normal-natural", "--lambda", "5", "--samples", "3",
+          "--box", "0,1,0,1"], "--lambda, --samples, --box"),
+        (["curvature", "--catalog", "weibull-metric", "--alpha", "0.5"], "--alpha"),
+        (["curvature", "--catalog", "weibull-metric", "--expr", "t^2+x^2"], "--expr"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+)
+def test_flag_a_catalog_entry_would_ignore_is_usage_error(capsys, argv, flag):
+    # the entry is checked at its own values, so a PASS would answer a
+    # question the flag did not ask (weibull-metric at lambda 0 is not Einstein)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # SingularMetricError: the Hessian of t + x is zero
+        (["curvature", "--expr", "t + x", "--samples", "1"], 3),
+        # ValueError from convexity_scan
+        (["convexity", "--catalog", "normal-natural", "--grid", "1,1"], 2),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_error_reaches_main_as_its_exit_code(capsys, argv, code):
+    actual, out, err = run(capsys, *argv)
+    assert actual == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    script = textwrap.dedent(
+        """
+        import argparse, contextlib, io
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        from einstat import cli
+        at_import = built.count("einstat")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["parse", "--expr", "t"]) == 0
+            assert cli.main(["catalog", "list"]) == 0
+        print(at_import, built.count("einstat"))
+        """
+    )
+    src = str(pathlib.Path(einstat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["0", "1"]
 
 
 class TestDeterminism:

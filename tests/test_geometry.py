@@ -80,6 +80,16 @@ class TestPotentialSpec:
         assert spec.in_domain((0.0, 1.0)) is False
         assert metric.in_domain((0.0, 1.0)) is False
 
+    @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_point_of_wrong_dimension_is_rejected(self, point):
+        # the metric used to bind by zip: a 3-D point was evaluated at its
+        # first two coordinates and a 1-D point left theta2 unbound
+        for source in (NORMAL, WEIBULL):
+            with pytest.raises(ValueError, match="expected a 2-dimensional point"):
+                source.in_domain(point)
+        with pytest.raises(ValueError, match="expected a 2-dimensional point"):
+            ricci_from_metric(WEIBULL, point)
+
     def test_hash_is_cached_and_consistent_with_equality(self):
         twin = PotentialSpec.create(
             "normal-natural", 2, "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2",

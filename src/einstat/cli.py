@@ -70,6 +70,8 @@ LSC_TOLERANCES = {"heat": 1e-9, "txpeq": 1e-7}
 #: ``check --expr`` defaults; ``check --catalog`` takes its entry's own.
 CHECK_BOX = "-1,1,-1,1"
 CHECK_SAMPLES = 100
+#: Sampled points of ``curvature`` without ``--grid``.
+CURVATURE_SAMPLES = 20
 
 
 class UsageError(Exception):
@@ -200,6 +202,8 @@ def _curvature_record(pt, bundle) -> dict:
 
 
 def _cmd_curvature(args) -> int:
+    if args.grid and args.samples is not None:
+        raise UsageError("--samples cannot be used with --grid: the grid sets the points")
     box = _parse_box(args.box)
     results = []
     csv_rows = []
@@ -234,7 +238,8 @@ def _cmd_curvature(args) -> int:
             results.append(record)
         input_desc["grid"] = list(grid)
     else:
-        for pt in sample_points(source, box, args.samples, args.seed):
+        samples = CURVATURE_SAMPLES if args.samples is None else args.samples
+        for pt in sample_points(source, box, samples, args.seed):
             results.append(_curvature_record(pt, bundle_at(pt)))
     input_desc["box"] = list(box)
     header = ("row", "col", "t", "x", "kappa", "scalar", "r1212")
@@ -298,6 +303,8 @@ def _cmd_convexity(args) -> int:
 
 
 def _cmd_symmetry_verify(args) -> int:
+    if args.pde == "heat" and args.lam is not None:
+        raise UsageError("--lambda cannot be used with --pde heat: the heat equation has no lambda")
     gen = _resolve_generator(args.gen)
     equation, leading = equation_for(args.pde, args.lam if args.lam is not None else 1.0)
     report = lsc_check(
@@ -391,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="catalog entry name")
     p.add_argument("--alpha", type=float, default=0.0, help="connection parameter (default 0)")
     p.add_argument("--grid", default=None, help="rows,cols grid instead of sampling")
-    p.add_argument("--samples", type=_positive_int, default=20, help="sample count (default 20)")
+    p.add_argument("--samples", type=_positive_int,
+                   help=f"sample count without --grid (default {CURVATURE_SAMPLES})")
     _add_common(p, box_default="-1,1,-2,-0.1")
     p.set_defaults(handler=_cmd_curvature)
 

@@ -77,39 +77,44 @@ class DomainError(ExpressionError):
 
 
 class _Node:
-    """Operator sugar shared by every node type."""
+    """Operator sugar shared by every node type.
+
+    The operators build through the rewrite rules, as :func:`simplify`
+    does: on simplified operands they return a simplified tree.  The
+    node classes themselves build raw nodes, as :func:`parse` does.
+    """
 
     __slots__ = ()
 
     def __add__(self, other):
-        return Add(self, _coerce(other))
+        return _add(self, _coerce(other))
 
     def __radd__(self, other):
-        return Add(_coerce(other), self)
+        return _add(_coerce(other), self)
 
     def __sub__(self, other):
-        return Sub(self, _coerce(other))
+        return _sub(self, _coerce(other))
 
     def __rsub__(self, other):
-        return Sub(_coerce(other), self)
+        return _sub(_coerce(other), self)
 
     def __mul__(self, other):
-        return Mul(self, _coerce(other))
+        return _mul(self, _coerce(other))
 
     def __rmul__(self, other):
-        return Mul(_coerce(other), self)
+        return _mul(_coerce(other), self)
 
     def __truediv__(self, other):
-        return Div(self, _coerce(other))
+        return _div(self, _coerce(other))
 
     def __rtruediv__(self, other):
-        return Div(_coerce(other), self)
+        return _div(_coerce(other), self)
 
     def __pow__(self, other):
-        return Pow(self, _coerce(other))
+        return _pow(self, _coerce(other))
 
     def __neg__(self):
-        return Neg(self)
+        return _neg(self)
 
     def __str__(self):
         return to_text(self)
@@ -184,6 +189,17 @@ def _coerce(value) -> Expr:
     if isinstance(value, (int, float)):
         return Num(float(value))
     raise TypeError(f"cannot use {value!r} as an expression")
+
+
+def _operands(node: Expr) -> tuple:
+    """The node's operand trees, in order; none for a leaf."""
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base, node.exponent)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +356,27 @@ def parse(text: str) -> Expr:
 # a child would bind looser than its context requires.
 _ATOM, _POW, _NEG, _MULDIV, _ADDSUB = 5, 4, 3, 2, 1
 
+#: Symbol and precedence of each infix operator.
+_INFIX: dict = {
+    Add: (" + ", _ADDSUB),
+    Sub: (" - ", _ADDSUB),
+    Mul: ("*", _MULDIV),
+    Div: ("/", _MULDIV),
+    Pow: ("^", _POW),
+}
+
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _ADDSUB
-    if isinstance(e, (Mul, Div)):
-        return _MULDIV
-    if isinstance(e, Neg):
+    if type(e) in _INFIX:
+        return _INFIX[type(e)][1]
+    if isinstance(e, Neg) or (isinstance(e, Num) and math.copysign(1.0, e.value) < 0):
         return _NEG
-    if isinstance(e, Num) and (e.value < 0 or math.copysign(1.0, e.value) < 0):
-        return _NEG
-    if isinstance(e, Pow):
-        return _POW
     return _ATOM
 
 
 def _fmt_number(value: float) -> str:
     if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
-        return str(int(value))
+        return f"{value:.0f}"  # "-0" for -0.0, which _prec parenthesizes as negative
     return repr(value)
 
 
@@ -369,21 +388,17 @@ def _render(e: Expr, min_prec: int) -> str:
         text = e.name
     elif isinstance(e, Neg):
         text = "-" + _render(e.arg, _NEG)
-    elif isinstance(e, Add):
-        text = _render(e.left, _ADDSUB) + " + " + _render(e.right, _ADDSUB + 1)
-    elif isinstance(e, Sub):
-        text = _render(e.left, _ADDSUB) + " - " + _render(e.right, _ADDSUB + 1)
-    elif isinstance(e, Mul):
-        text = _render(e.left, _MULDIV) + "*" + _render(e.right, _MULDIV + 1)
-    elif isinstance(e, Div):
-        text = _render(e.left, _MULDIV) + "/" + _render(e.right, _MULDIV + 1)
-    elif isinstance(e, Pow):
-        # exponent is a grammar "unary", so Neg needs no parentheses there
-        text = _render(e.base, _ATOM) + "^" + _render(e.exponent, _NEG)
     elif isinstance(e, Call):
         return e.func + "(" + _render(e.arg, 0) + ")"
-    else:  # pragma: no cover
-        raise TypeError(f"not an expression: {e!r}")
+    else:
+        symbol, prec = _INFIX[type(e)]
+        left, right = _operands(e)
+        if isinstance(e, Pow):
+            # right-associative, and the exponent is a grammar "unary", so
+            # Neg needs no parentheses there
+            text = _render(left, _ATOM) + symbol + _render(right, _NEG)
+        else:
+            text = _render(left, prec) + symbol + _render(right, prec + 1)
     if _prec(e) < min_prec:
         return "(" + text + ")"
     return text
@@ -406,14 +421,8 @@ def free_variables(e: Expr) -> frozenset[str]:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        elif isinstance(node, (Neg, Call)):
-            stack.append(node.arg)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-            stack.append(node.exponent)
+        else:
+            stack.extend(_operands(node))
     return frozenset(out)
 
 
@@ -452,15 +461,9 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
             raise UnknownConstantError(f"unknown named constant '{e.name}'") from None
     if isinstance(e, Neg):
         return -evaluate(e.arg, bindings)
-    if isinstance(e, Add):
+    if isinstance(e, (Add, Sub, Mul)):
         a, b = evaluate(e.left, bindings), evaluate(e.right, bindings)
-        return _unless_overflow(e, a, b, a + b)
-    if isinstance(e, Sub):
-        a, b = evaluate(e.left, bindings), evaluate(e.right, bindings)
-        return _unless_overflow(e, a, b, a - b)
-    if isinstance(e, Mul):
-        a, b = evaluate(e.left, bindings), evaluate(e.right, bindings)
-        return _unless_overflow(e, a, b, a * b)
+        return _unless_overflow(e, a, b, _TAPE_OPS[type(e)](a, b))
     if isinstance(e, Div):
         denom = evaluate(e.right, bindings)
         if denom == 0.0:
@@ -527,16 +530,6 @@ _TAPE_OPS: dict = {
 
 class _Untapeable(Exception):
     """A node the tape has no instruction for; the tree walk handles it."""
-
-
-def _operands(node: Expr) -> tuple:
-    if isinstance(node, (Neg, Call)):
-        return (node.arg,)
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return (node.left, node.right)
-    if isinstance(node, Pow):
-        return (node.base, node.exponent)
-    return ()
 
 
 def _tape_key(node: Expr, operands: list[int]) -> tuple:
@@ -648,34 +641,26 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of variable ``name`` by ``replacement``."""
+    """Replace every occurrence of variable ``name`` by ``replacement``.
+
+    Every other node is rebuilt as it was, without the rewrite rules.
+    """
     if isinstance(e, Var):
         return replacement if e.name == name else e
-    if isinstance(e, (Num, Const)):
+    operands = [substitute(o, name, replacement) for o in _operands(e)]
+    if not operands:
         return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, name, replacement))
     if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, name, replacement))
-    if isinstance(e, Add):
-        return Add(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Div):
-        return Div(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, name, replacement), substitute(e.exponent, name, replacement))
-    raise TypeError(f"not an expression: {e!r}")
+        return Call(e.func, *operands)
+    return type(e)(*operands)
 
 
 # -- rewrite rules -----------------------------------------------------------
 #
-# One smart constructor per node type holds every rewrite rule, and both
-# differentiate and simplify build through them.  Each returns an operand,
-# a number, or a node none of whose operands can be rewritten further, so
-# one bottom-up pass through them reaches a fixpoint.
+# One smart constructor per node type holds every rewrite rule, and
+# differentiate, simplify and the operators build through them.  Each
+# returns an operand, a number, or a node none of whose operands can be
+# rewritten further, so one bottom-up pass through them reaches a fixpoint.
 
 def _is_num(e: Expr, value: float) -> bool:
     return isinstance(e, Num) and e.value == value
@@ -886,7 +871,8 @@ def simplify(e: Expr) -> Expr:
     up to the rounding of a collapsed power.
 
     Run it where a tree enters from outside: :func:`differentiate` of a
-    simplified tree is already simplified.
+    simplified tree, and any tree the operators build from simplified
+    trees, is already simplified.
     """
     return _post_order((e,), _rebuild)[0]
 

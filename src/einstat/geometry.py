@@ -151,9 +151,6 @@ class PotentialSpec:
     def variables(self) -> tuple[str, ...]:
         return _theta_names(self.dimension)
 
-    def constants_map(self) -> dict[str, float]:
-        return dict(self.constants)
-
 
 def _satisfies(constraints: Sequence[Expr], bindings: Mapping[str, float]) -> bool:
     """Whether every constraint is strictly positive, by tree walk.
@@ -368,13 +365,14 @@ def _cubic_tape(spec: PotentialSpec):
 def alpha_connection(
     spec: PotentialSpec, alpha: float
 ) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
-    """Connection coefficients ``(1 - alpha)/2 * T_ijk``, indexed ``[i][j][k]``."""
+    """Connection coefficients ``(1 - alpha)/2 * T_ijk``, indexed ``[i][j][k]``,
+    built simplified from the simplified cubic tensor."""
     tensor = cubic_tensor(spec)
     n = tensor.dimension
     factor = Num((1.0 - alpha) / 2.0)
     return tuple(
         tuple(
-            tuple(simplify(factor * tensor.components[i][j][k]) for k in range(n))
+            tuple(factor * tensor.components[i][j][k] for k in range(n))
             for j in range(n)
         )
         for i in range(n)

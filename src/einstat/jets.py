@@ -122,12 +122,13 @@ def total_derivative(e: Expr, direction: str) -> Expr:
             )
         partial = differentiate(e, name)
         result = result + partial * Var(jet_name(bumped))
-    return simplify(result)
+    return result
 
 
 @dataclass(frozen=True)
 class GeneratorField:
-    """Point generator with coefficients depending on (t, x, u) only."""
+    """Point generator with coefficients depending on (t, x, u) only,
+    simplified by :meth:`create` and kept so by the operators."""
 
     name: str
     xi_t: Expr
@@ -154,23 +155,24 @@ class GeneratorField:
         def conv(v):
             return parse(v) if isinstance(v, str) else v
 
-        return cls(name, conv(xi_t), conv(xi_x), conv(eta))
+        given = cls(name, conv(xi_t), conv(xi_x), conv(eta))  # checks the names as given
+        return cls(name, simplify(given.xi_t), simplify(given.xi_x), simplify(given.eta))
 
     def __add__(self, other: "GeneratorField") -> "GeneratorField":
         return GeneratorField(
             f"{self.name}+{other.name}",
-            simplify(self.xi_t + other.xi_t),
-            simplify(self.xi_x + other.xi_x),
-            simplify(self.eta + other.eta),
+            self.xi_t + other.xi_t,
+            self.xi_x + other.xi_x,
+            self.eta + other.eta,
         )
 
     def __rmul__(self, factor: float) -> "GeneratorField":
         c = Num(float(factor))
         return GeneratorField(
             f"{factor}*{self.name}",
-            simplify(c * self.xi_t),
-            simplify(c * self.xi_x),
-            simplify(c * self.eta),
+            c * self.xi_t,
+            c * self.xi_x,
+            c * self.eta,
         )
 
 
@@ -195,7 +197,7 @@ def parse_generator(text: str, name: str = "custom") -> GeneratorField:
 
 def characteristic(gen: GeneratorField) -> Expr:
     """``Q = eta - xi_t u_t - xi_x u_x``."""
-    return simplify(gen.eta - gen.xi_t * Var("u_t") - gen.xi_x * Var("u_x"))
+    return gen.eta - gen.xi_t * Var("u_t") - gen.xi_x * Var("u_x")
 
 
 @dataclass
@@ -230,7 +232,7 @@ def prolong(gen: GeneratorField, order: int) -> ProlongedGenerator:
         transport = gen.xi_t * Var(jet_name((jt + 1, jx))) + gen.xi_x * Var(
             jet_name((jt, jx + 1))
         )
-        coeffs[index] = simplify(dq[index] + transport)
+        coeffs[index] = dq[index] + transport
     return ProlongedGenerator(gen, order, coeffs)
 
 
@@ -238,13 +240,14 @@ def prolonged_action_terms(gen: GeneratorField, equation: Expr) -> list[tuple[Ex
     """Pairs (coefficient, dF/dcoordinate) whose products sum to pr X (F)."""
     order = validate_jet_expression(equation, MAX_JET_ORDER - 1)
     prolonged = prolong(gen, max(order, 1))
+    equation = simplify(equation)
     terms: list[tuple[Expr, Expr]] = []
     for name, coeff in (("t", gen.xi_t), ("x", gen.xi_x)):
-        partial = simplify(differentiate(equation, name))
+        partial = differentiate(equation, name)
         if partial != Num(0.0):
             terms.append((coeff, partial))
     for index, coeff in prolonged.coefficients.items():
-        partial = simplify(differentiate(equation, jet_name(index)))
+        partial = differentiate(equation, jet_name(index))
         if partial != Num(0.0):
             terms.append((coeff, partial))
     return terms
@@ -320,8 +323,9 @@ def lsc_check(
         raise ValueError(f"samples must be a positive integer (got {samples})")
     if parse_jet_name(leading) is None:
         raise UnsupportedEquationError(f"'{leading}' is not a jet coordinate")
-    coeff_expr = simplify(differentiate(equation, leading))
-    second = simplify(differentiate(coeff_expr, leading))
+    equation = simplify(equation)
+    coeff_expr = differentiate(equation, leading)
+    second = differentiate(coeff_expr, leading)
     names = jet_variables(MAX_JET_ORDER)
     probe_rng = np.random.default_rng([seed, 0xAFF1])
     for _ in range(8):
@@ -380,11 +384,12 @@ def invariance_check(
     extra = free_variables(function) - {"t", "x", "u"}
     if extra:
         raise ValueError(f"invariant candidate depends on {sorted(extra)}")
+    function = simplify(function)
     tape = compile_family(
         [
-            gen.xi_t, simplify(differentiate(function, "t")),
-            gen.xi_x, simplify(differentiate(function, "x")),
-            gen.eta, simplify(differentiate(function, "u")),
+            gen.xi_t, differentiate(function, "t"),
+            gen.xi_x, differentiate(function, "x"),
+            gen.eta, differentiate(function, "u"),
         ]
     )
     residuals = []

@@ -369,12 +369,17 @@ def test_samples_must_be_positive(capsys, argv):
           "--box", "0,1,0,1"], "--lambda, --samples, --box"),
         (["curvature", "--catalog", "weibull-metric", "--alpha", "0.5"], "--alpha"),
         (["curvature", "--catalog", "weibull-metric", "--expr", "t^2+x^2"], "--expr"),
+        (["symmetry", "verify", "--pde", "heat", "--gen", "H3", "--lambda", "5"], "--lambda"),
+        (["curvature", "--catalog", "normal-natural", "--grid", "2,2", "--samples", "7"],
+         "--samples"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else value,
 )
-def test_flag_a_catalog_entry_would_ignore_is_usage_error(capsys, argv, flag):
-    # the entry is checked at its own values, so a PASS would answer a
-    # question the flag did not ask (weibull-metric at lambda 0 is not Einstein)
+def test_flag_the_command_would_ignore_is_usage_error(capsys, argv, flag):
+    # a report must not echo a flag that had no part in its verdict: a
+    # catalog entry is checked at its own values (weibull-metric at lambda 0
+    # is not Einstein), the heat equation has no lambda, and a grid sets
+    # its own points
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -291,6 +291,9 @@ class TestRegistry:
     def test_generator_rejects_jet_coordinates(self):
         with pytest.raises(ValueError):
             GeneratorField.create("bad", xi_t="u_x")
+        # checked as given, before simplify drops the product
+        with pytest.raises(ValueError, match="u_x"):
+            GeneratorField.create("bad", xi_t="0*u_x")
 
     def test_equation_registry(self):
         eq, leading = equation_for("heat")

@@ -5,12 +5,15 @@ second copy of the rewrite rules, applied bottom-up and re-walked until
 the tree stops changing.  The single pass through the shared smart
 constructors must give the same tree, down to the sign of every zero,
 which ``repr`` shows and ``==`` does not.  ``differentiate`` of a
-simplified tree must be a fixpoint of the reference, since geometry uses
-such derivatives without simplifying them again.
+simplified tree, and every tree the operators build from simplified
+trees, must be a fixpoint of the reference, since geometry and jets use
+such trees without simplifying them again.  The other tree walkers are
+checked on the same random trees.
 """
 
 import math
 import random
+import struct
 import sys
 
 import pytest
@@ -35,10 +38,14 @@ from einstat.expressions import (
     Var,
     _is_integral,
     _is_num,
+    compile_family,
     differentiate,
     evaluate,
+    free_variables,
     parse,
     simplify,
+    substitute,
+    to_text,
 )
 
 
@@ -156,19 +163,31 @@ _CACHED = (
     geometry._metric_derivative_exprs,
 )
 
-#: The trees each derivative builder returns.
+def _coefficients(gen: jets.GeneratorField) -> tuple[Expr, ...]:
+    return (gen.xi_t, gen.xi_x, gen.eta)
+
+
+#: The trees each builder returns, by its owner and name.  Each is built
+#: from simplified trees through the rewrite rules, never by ``simplify``.
 _RETURNED_TREES = {
-    "fisher_metric": geometry.MetricField.upper_entries,
-    "cubic_tensor": geometry.CubicTensor.sorted_components,
-    "_metric_derivative_exprs": lambda families: families[0] + families[1],
+    (geometry, "fisher_metric"): geometry.MetricField.upper_entries,
+    (geometry, "cubic_tensor"): geometry.CubicTensor.sorted_components,
+    (geometry, "_metric_derivative_exprs"): lambda families: families[0] + families[1],
+    (geometry, "alpha_connection"): lambda c: [e for plane in c for row in plane for e in row],
+    (jets, "total_derivative"): lambda e: (e,),
+    (jets, "characteristic"): lambda e: (e,),
+    (jets, "prolong"): lambda prolonged: tuple(prolonged.coefficients.values()),
+    (jets, "prolonged_action_terms"): lambda terms: [e for pair in terms for e in pair],
+    (jets.GeneratorField, "__add__"): _coefficients,
+    (jets.GeneratorField, "__rmul__"): _coefficients,
 }
 
 
 def _recorded(monkeypatch, build) -> list[tuple[Expr, Expr]]:
     """Pairs ``(tree, ours)`` from ``build()`` with cold derivative caches:
     every tree the geometry and jet layers hand to ``simplify`` with its
-    result, and every tree geometry's derivative builders return with
-    itself, since ``differentiate`` builds it simplified."""
+    result, and every tree a builder in ``_RETURNED_TREES`` returns with
+    itself, since it is built simplified."""
     pairs: dict[int, tuple[Expr, Expr]] = {}  # by id: each pair holds its tree
 
     def recording(e):
@@ -177,8 +196,8 @@ def _recorded(monkeypatch, build) -> list[tuple[Expr, Expr]]:
         return result
 
     def returning(builder, trees):
-        def wrapper(arg):
-            result = builder(arg)
+        def wrapper(*args):
+            result = builder(*args)
             pairs.update((id(t), (t, t)) for t in trees(result))
             return result
 
@@ -186,8 +205,8 @@ def _recorded(monkeypatch, build) -> list[tuple[Expr, Expr]]:
 
     monkeypatch.setattr(geometry, "simplify", recording)
     monkeypatch.setattr(jets, "simplify", recording)
-    for name, trees in _RETURNED_TREES.items():
-        monkeypatch.setattr(geometry, name, returning(getattr(geometry, name), trees))
+    for (owner, name), trees in _RETURNED_TREES.items():
+        monkeypatch.setattr(owner, name, returning(getattr(owner, name), trees))
     for cached in _CACHED:
         cached.cache_clear()
     try:
@@ -208,7 +227,8 @@ def _build_catalog():
     for name in entry_names():
         entry = get_entry(name)
         if entry.kind == "potential":
-            geometry.cubic_tensor(entry.potential)  # also the potential and the metric
+            for alpha in (0.5, 1.0, -1.0):  # also the potential, metric and cubic tensor
+                geometry.alpha_connection(entry.potential, alpha)
             metric = geometry.fisher_metric(entry.potential)
         else:
             metric = entry.metric
@@ -233,7 +253,14 @@ def _build_scaling_families():
 
 
 def _build_prolongations():
-    for name, gen in jets.GENERATORS.items():
+    heat, x = jets.HEAT_GENERATORS, jets.CURVATURE_GENERATORS
+    combinations = {
+        "H4+H3": heat["H4"] + 0.5 * heat["H3"],
+        "X4+X6": x["X4"] + 0.1 * x["X6"],
+        "X8+X9": 0 * x["X8"] + 1 * x["X9"],
+        "custom": jets.parse_generator("xi_t = 0*x + t*1; eta = (u^2)^0.5 - -(1)"),
+    }
+    for name, gen in {**jets.GENERATORS, **combinations}.items():
         jets.prolong(gen, 3)
         equation, _ = jets.equation_for("heat" if name.startswith("H") else "txpeq", 0.5)
         jets.prolonged_action_terms(gen, equation)
@@ -268,6 +295,25 @@ class TestReferenceEquality:
     def test_rule_edge_cases(self, text):
         e = parse(text)
         assert repr(simplify(e)) == repr(reference_simplify(e))
+
+
+class TestSimplifyOnlyAtEntry:
+    """Jets simplify the trees they are given, not the trees they build."""
+
+    def test_jets_simplify_calls(self, monkeypatch):
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return simplify(e)
+
+        monkeypatch.setattr(jets, "simplify", counting)
+        x4 = jets.CURVATURE_GENERATORS["X4"]
+        jets.prolong(x4, 3)
+        assert len(calls) == 0
+        equation, leading = jets.equation_for("txpeq", 0.5)
+        jets.lsc_check(x4, equation, leading, samples=3)
+        assert len(calls) <= 2
 
 
 def _random_trees(st):
@@ -327,6 +373,60 @@ class TestRandomTrees:
             for v in ("t", "x"):
                 d = differentiate(s, v)
                 assert repr(d) == repr(reference_simplify(d))
+
+        check()
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]  # tells 0.0 from -0.0, matches NaNs
+
+
+def _outcome(run):
+    """``run()``'s values as bits, or the class of the error it raised."""
+    try:
+        return _bits(run())
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+class TestRandomTreeWalkers:
+    """Properties of the printer, the tape and the substituting walk on the
+    random trees above."""
+
+    def test_text_round_trip(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+        @hypothesis.given(_random_trees(st))
+        def check(e):
+            assert to_text(parse(to_text(e))) == to_text(e)
+
+        check()
+
+    def test_tape_is_bitwise_the_tree_walk(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+        @hypothesis.given(_random_trees(st), coordinate, coordinate)
+        def check(e, t, x):
+            bindings = {"t": t, "x": x}
+            tape = compile_family([e])
+            assert _outcome(lambda: tape(bindings)) == _outcome(lambda: [evaluate(e, bindings)])
+
+        check()
+
+    def test_substitute_removes_the_variable(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+        @hypothesis.given(_random_trees(st))
+        def check(e):
+            replaced = substitute(e, "t", Num(1.0))
+            assert free_variables(replaced) == free_variables(e) - {"t"}
 
         check()
 

@@ -193,10 +193,10 @@ def _coerce(value) -> Expr:
 
 def _operands(node: Expr) -> tuple:
     """The node's operand trees, in order; none for a leaf."""
-    if isinstance(node, (Neg, Call)):
-        return (node.arg,)
     if isinstance(node, (Add, Sub, Mul, Div)):
         return (node.left, node.right)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
     if isinstance(node, Pow):
         return (node.base, node.exponent)
     return ()
@@ -532,18 +532,6 @@ class _Untapeable(Exception):
     """A node the tape has no instruction for; the tree walk handles it."""
 
 
-def _tape_key(node: Expr, operands: list[int]) -> tuple:
-    """Structural key of a node whose operands already have value numbers."""
-    if isinstance(node, Num):
-        return (Num, struct.pack("<d", node.value))  # 0.0 and -0.0 stay apart
-    if isinstance(node, Var) or (isinstance(node, Const) and node.name in CONSTANTS):
-        return (type(node), node.name)
-    op = node.func if isinstance(node, Call) else type(node)
-    if op not in _TAPE_OPS:
-        raise _Untapeable
-    return (op, *operands)
-
-
 def _post_order(roots: Iterable[Expr], visit: Callable[[Expr, list], object]) -> list:
     """Fold ``visit(node, operand_results)`` over the trees bottom-up, and
     return the result at each root.
@@ -555,36 +543,22 @@ def _post_order(roots: Iterable[Expr], visit: Callable[[Expr, list], object]) ->
     done: dict[int, object] = {}
     results = []
     for root in roots:
-        stack = [(root, None)]
+        stack: list = [root]
         while stack:
-            node, children = stack.pop()
-            if id(node) in done:
-                continue
-            if children is None:
-                # revisit the node once everything pushed above it is done
-                children = _operands(node)
-                stack.append((node, children))
-                stack.extend((c, None) for c in children)
-                continue
-            done[id(node)] = visit(node, [done[id(c)] for c in children])
+            item = stack.pop()
+            if type(item) is tuple:  # a revisit: every operand is done
+                node, children = item
+                done[id(node)] = visit(node, [done[id(c)] for c in children])
+            elif id(item) not in done:
+                children = _operands(item)
+                if children:
+                    # revisit the node once everything pushed above it is done
+                    stack.append((item, children))
+                    stack.extend(children)
+                else:
+                    done[id(item)] = visit(item, [])
         results.append(done[id(root)])
     return results
-
-
-def _value_number(exprs: tuple[Expr, ...]) -> tuple[list[tuple], list[int]]:
-    """Keys of the distinct subexpressions in dependency order, and the
-    value number of each root.
-
-    Equal subtrees that are distinct objects share a number through their
-    keys.
-    """
-    numbers: dict[tuple, int] = {}
-
-    def number(node: Expr, operands: list[int]) -> int:
-        return numbers.setdefault(_tape_key(node, operands), len(numbers))
-
-    roots = _post_order(exprs, number)
-    return list(numbers), roots
 
 
 def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, ...]]:
@@ -604,22 +578,40 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
     def walk(bindings: Bindings) -> tuple[float, ...]:
         return tuple(evaluate(e, bindings) for e in exprs)
 
-    try:
-        keys, roots = _value_number(exprs)
-    except _Untapeable:
-        return walk
-    template: list = [None] * len(keys)
+    # slots in dependency order, one per structural key, so equal subtrees
+    # that are distinct objects share one
+    slots: dict[tuple, int] = {}
+    template: list = []
     names = []
     tape = []
-    for slot, (op, *args) in enumerate(keys):
-        if op is Var:
-            names.append((slot, args[0]))
-        elif op is Num:
-            template[slot] = struct.unpack("<d", args[0])[0]
-        elif op is Const:
-            template[slot] = CONSTANTS[args[0]]
+
+    def number(node: Expr, operands: list[int]) -> int:
+        value = None
+        if isinstance(node, Num):  # keyed by its bits, so 0.0 and -0.0 stay apart
+            key, value = (Num, struct.pack("<d", node.value)), node.value
+        elif isinstance(node, Var):
+            key = (Var, node.name)
+        elif isinstance(node, Const) and node.name in CONSTANTS:
+            key, value = (Const, node.name), CONSTANTS[node.name]
         else:
-            tape.append((slot, _TAPE_OPS[op], args[0], args[1] if len(args) > 1 else -1))
+            key = (node.func if isinstance(node, Call) else type(node), *operands)
+            if key[0] not in _TAPE_OPS:
+                raise _Untapeable
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(template)
+            template.append(value)
+            if isinstance(node, Var):
+                names.append((slot, node.name))
+            elif operands:
+                second = operands[1] if len(operands) > 1 else -1
+                tape.append((slot, _TAPE_OPS[key[0]], operands[0], second))
+        return slot
+
+    try:
+        roots = _post_order(exprs, number)
+    except _Untapeable:
+        return walk
     tape = tuple(tape)
 
     def run(bindings: Bindings) -> tuple[float, ...]:
@@ -640,19 +632,23 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
     return run
 
 
-def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of variable ``name`` by ``replacement``.
+def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
+    """Replace every variable named in ``replacements`` by its tree.
 
-    Every other node is rebuilt as it was, without the rewrite rules.
+    One iterative pass rebuilds every other node as it was, without the
+    rewrite rules; a node none of whose operands changed is returned itself.
     """
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    operands = [substitute(o, name, replacement) for o in _operands(e)]
-    if not operands:
-        return e
-    if isinstance(e, Call):
-        return Call(e.func, *operands)
-    return type(e)(*operands)
+
+    def rebuild(node: Expr, operands: list) -> Expr:
+        if not operands:
+            return replacements.get(node.name, node) if isinstance(node, Var) else node
+        if all(map(operator.is_, operands, _operands(node))):
+            return node
+        if isinstance(node, Call):
+            return Call(node.func, *operands)
+        return type(node)(*operands)
+
+    return _post_order((e,), rebuild)[0]
 
 
 # -- rewrite rules -----------------------------------------------------------

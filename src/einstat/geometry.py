@@ -60,8 +60,7 @@ def _theta_names(dimension: int) -> tuple[str, ...]:
 def _normalize_aliases(e: Expr, dimension: int) -> Expr:
     # t and x are accepted spellings of theta1 and theta2 in two dimensions
     if dimension == 2:
-        e = substitute(e, "t", Var("theta1"))
-        e = substitute(e, "x", Var("theta2"))
+        return substitute(e, {"t": Var("theta1"), "x": Var("theta2")})
     return e
 
 
@@ -94,15 +93,14 @@ def _bindings(self, point: Point) -> dict[str, float]:  # of both PotentialSpec 
 def _in_domain(self, point: Point) -> bool:  # in_domain of both PotentialSpec and MetricField
     """Whether every domain constraint is strictly positive at the point.
 
-    The compiled constraints decide when they evaluate; when one cannot
-    be evaluated, the tree walk decides, which stops at the first
-    constraint that is not positive.
+    A point where some constraint cannot be evaluated is outside: the tape
+    raises there, and a walk stopping at the first constraint that is not
+    positive would give the same answer.
     """
-    b = self.bindings(point)
     try:
-        values = _constraint_tape(self)(b)
-    except Exception:
-        return _satisfies(_domain(self), b)
+        values = _constraint_tape(self)(self.bindings(point))
+    except ExpressionError:
+        return False
     return not any(value <= 0.0 for value in values)
 
 
@@ -152,25 +150,8 @@ class PotentialSpec:
         return _theta_names(self.dimension)
 
 
-def _satisfies(constraints: Sequence[Expr], bindings: Mapping[str, float]) -> bool:
-    """Whether every constraint is strictly positive, by tree walk.
-
-    Stops at the first constraint that is not, so a later constraint that
-    cannot be evaluated at the point never raises.
-    """
-    for constraint in constraints:
-        try:
-            if evaluate(constraint, bindings) <= 0.0:
-                return False
-        except ExpressionError:
-            return False
-    return True
-
-
 def _resolve(e: Expr, constants: tuple[tuple[str, float], ...]) -> Expr:
-    for cname, cvalue in constants:
-        e = substitute(e, cname, Num(cvalue))
-    return simplify(e)
+    return simplify(substitute(e, {cname: Num(cvalue) for cname, cvalue in constants}))
 
 
 @lru_cache(maxsize=None)
@@ -183,15 +164,11 @@ def resolved_constraints(spec: PotentialSpec) -> tuple[Expr, ...]:
     return tuple(_resolve(c, spec.constants) for c in spec.constraints)
 
 
-def _domain(owner: "PotentialSpec | MetricField") -> tuple[Expr, ...]:
-    if isinstance(owner, PotentialSpec):
-        return resolved_constraints(owner)
-    return owner.constraints
-
-
 @lru_cache(maxsize=None)
 def _constraint_tape(owner: "PotentialSpec | MetricField"):
-    return compile_family(_domain(owner))
+    if isinstance(owner, PotentialSpec):
+        return compile_family(resolved_constraints(owner))
+    return compile_family(owner.constraints)
 
 
 @lru_cache(maxsize=None)
@@ -300,6 +277,7 @@ class CurvatureBundle:
 
     point: tuple[float, ...]
     alpha: float
+    metric: np.ndarray               # g_ij
     riemann: np.ndarray              # R_ijkl
     ricci: np.ndarray                # Ric_ij = R_iklj g^kl
     scalar: float                    # Ric_ij g^ij
@@ -425,7 +403,7 @@ def _bundle_from_riemann(
         for j in range(i + 1, n):
             denom = g[i, i] * g[j, j] - g[i, j] ** 2
             sectional[(i, j)] = float(-riemann[i, j, i, j] / denom)
-    return CurvatureBundle(tuple(map(float, point)), alpha, riemann, ricci, scalar, sectional)
+    return CurvatureBundle(tuple(map(float, point)), alpha, g, riemann, ricci, scalar, sectional)
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +415,13 @@ def _metric_derivative_exprs(metric: MetricField) -> tuple[tuple[Expr, ...], tup
     """``d_k g_ij`` ordered by ``k`` and then as :meth:`MetricField.upper_entries`,
     and ``d_l d_k g_ij`` ordered by ``l`` and then as the first derivatives.
 
-    Each distinct tree object is differentiated once per variable.  The
-    mixed partials ``d_l d_k`` and ``d_k d_l`` are separate trees: they
-    are equal as functions, but not always in the last bits.
+    Equal derivatives are built as separate trees and share one slot in
+    the tape.  The mixed partials ``d_l d_k`` and ``d_k d_l`` are separate
+    trees: they are equal as functions, but not always in the last bits.
     """
-    memo: dict[tuple[int, str], Expr] = {}
-
-    def derivative(e: Expr, name: str) -> Expr:
-        key = (id(e), name)  # the metric or the memo holds every e, so ids stay unique
-        if key not in memo:
-            memo[key] = differentiate(e, name)
-        return memo[key]
-
     names = _theta_names(metric.dimension)
-    first = tuple(derivative(e, v) for v in names for e in metric.upper_entries())
-    second = tuple(derivative(e, v) for v in names for e in first)
+    first = tuple(differentiate(e, v) for v in names for e in metric.upper_entries())
+    second = tuple(differentiate(e, v) for v in names for e in first)
     return first, second
 
 
@@ -521,11 +491,9 @@ def einstein_residual(
     """``Ric + lam * g`` at the point; zero iff the metric is Einstein there."""
     if isinstance(source, PotentialSpec):
         bundle = alpha_curvature(source, 0.0, point)
-        g = fisher_metric(source).evaluate(point)
     else:
         bundle = ricci_from_metric(source, point)
-        g = source.evaluate(point)
-    return bundle.ricci + lam * g
+    return bundle.ricci + lam * bundle.metric
 
 
 def metric_as_text(metric: MetricField) -> list[list[str]]:

@@ -335,7 +335,7 @@ def lsc_check(
                 f"equation is not affine in leading coordinate '{leading}'"
             )
     terms = prolonged_action_terms(gen, equation)
-    base = substitute(equation, leading, Num(0.0))
+    base = substitute(equation, {leading: Num(0.0)})
     leading_tape = compile_family([coeff_expr])
     base_tape = compile_family([base])
     terms_tape = compile_family([e for pair in terms for e in pair])

@@ -3,16 +3,19 @@
 ``perfbench/run.py`` counts a verdict that disagrees with its known answer
 as a failed operation; this test makes the same comparison in Tier-1, so a
 change that breaks a known answer (or an input the workloads generate)
-fails here, not only in a benchmark run.
+fails here, not only in a benchmark run.  The per-layer probes get the
+same check for the node counts they report.
 """
 
 import importlib.util
+import math
 import pathlib
 import sys
 
 import pytest
 
-WORKLOADS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
 
 #: Any seed works; every verdict carries its own known answer.
 SEED = 1
@@ -47,3 +50,27 @@ def test_one_pass_gives_every_known_answer(name):
         if item.run(Untraced()) is not item.expected
     ]
     assert wrong == []
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # probes imports its siblings by name
+    import probes
+
+    return probes
+
+
+def test_tree_size_counts_every_node(probes):
+    from einstat.expressions import parse
+
+    assert probes.tree_size(parse("t*x + 1")) == 5
+
+
+def test_expression_probe_counts_nodes_of_every_tree(probes):
+    # a node refactor that hides operands from the probe would count every
+    # tree as one node
+    _, exprs = probes.expression_inputs("unseen", SEED)
+    metrics = probes.expression_probe("unseen", SEED)
+    for order in probes.DERIVE_ORDERS:
+        trees = sum(math.comb(len(names) + order - 1, order) for _, names, _ in exprs)
+        assert metrics[f"expressions.nodes.o{order}"][0] > trees

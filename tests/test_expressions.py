@@ -19,8 +19,8 @@ from einstat.expressions import (
     UnboundVariableError,
     UnknownFunctionError,
     Var,
+    _TAPE_OPS,
     _equal,
-    _value_number,
     compile_family,
     differentiate,
     evaluate,
@@ -221,18 +221,33 @@ class TestDifferentiate:
 
 class TestSubstitute:
     def test_substitute_variable(self):
-        e = substitute(parse("t + x"), "t", parse("x"))
+        e = substitute(parse("t + x"), {"t": parse("x")})
         assert evaluate(e, {"x": 3.0}) == 6.0
 
     def test_substitute_absent_variable(self):
         e = parse("t + x")
-        assert substitute(e, "zz", parse("1")) == e
+        assert substitute(e, {"zz": parse("1")}) is e
+
+    def test_deep_chain_substitutes_iteratively(self):
+        chain = Var("t")
+        for k in range(20000):
+            chain = Add(chain, Mul(Num(float(k)), Var("x")))
+        replaced = substitute(chain, {"t": Num(1.0), "x": Var("y")})
+        assert free_variables(replaced) == {"y"}
+        assert compile_family([replaced])({"y": 2.0}) == (1.0 + 2.0 * sum(range(20000)),)
+        assert substitute(chain, {"zz": Num(1.0)}) is chain
+
+    def test_untouched_subtrees_are_kept(self):
+        e = parse("exp(t) * x")
+        replaced = substitute(e, {"x": Num(2.0)})
+        assert replaced.left is e.left
+        assert replaced == Mul(Call("exp", Var("t")), Num(2.0))
 
     def test_instantiate_constants(self):
         # one of the cataloged log-family potentials with its constants fixed
         e = parse("-1/(4*lam) * ln(c2*exp(c1*x - c1*a*ln(t)) - 1) + c3")
-        for name, value in [("c1", -1.0), ("c2", 2.0), ("c3", 0.0), ("a", 1.0), ("lam", 1.0)]:
-            e = substitute(e, name, Num(value))
+        constants = {"c1": -1.0, "c2": 2.0, "c3": 0.0, "a": 1.0, "lam": 1.0}
+        e = substitute(e, {name: Num(value) for name, value in constants.items()})
         assert free_variables(e) == {"t", "x"}
         assert evaluate(e, {"t": 1.0, "x": -1.0}) == pytest.approx(
             -0.25 * math.log(2 * math.e - 1)
@@ -403,11 +418,18 @@ class TestCompiledFamily:
         assert self.bits(taped) == self.bits([evaluate(e, b) for e in family])
         assert [math.copysign(1.0, v) for v in taped] == [1.0, -1.0, -1.0]
 
-    def test_equal_subtrees_share_one_slot(self):
-        # distinct but equal objects: x, y, x*y, x*y + x*y
-        keys, roots = _value_number((Add(Mul(Var("x"), Var("y")), Mul(Var("x"), Var("y"))),))
-        assert len(keys) == 4
-        assert roots == [3]
+    def test_equal_subtrees_share_one_slot(self, monkeypatch):
+        # x*y + x*y of distinct but equal objects multiplies once
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return a * b
+
+        monkeypatch.setitem(_TAPE_OPS, Mul, counting_mul)
+        family = compile_family([Add(Mul(Var("x"), Var("y")), Mul(Var("x"), Var("y")))])
+        assert family({"x": 2.0, "y": 3.0}) == (12.0,)
+        assert calls == [(2.0, 3.0)]
 
     def test_deep_sum_compiles_iteratively(self):
         deep = Num(0.0)

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from einstat.catalog import entry_names, get_entry
 from einstat.expressions import (
     DomainError,
     ExpressionError,
@@ -23,8 +24,11 @@ from einstat.geometry import (
     cubic_tensor,
     einstein_residual,
     fisher_metric,
+    resolved_constraints,
     ricci_from_metric,
 )
+from einstat.planar import CONVEX, convexity_check, r1212, sample_points
+from test_simplify_oracle import _random_trees
 
 NORMAL = PotentialSpec.create(
     "normal-natural",
@@ -66,8 +70,9 @@ class TestPotentialSpec:
         assert not NORMAL.in_domain((0.0, 1.0))
 
     def test_in_domain_stops_at_first_failing_constraint(self):
-        # the second constraint raises DomainError (sin of inf) at x = 1, but
-        # the first already fails there, so the tree walk never reaches it
+        # at x = 1 the first constraint is not positive and the second raises
+        # DomainError (sin of inf): a point where any constraint cannot be
+        # evaluated is outside, as the walk stopping at the first failure says
         spec = PotentialSpec.create(
             "guarded", 2, "t^2 + x^2", constraints=["-x", "sin(x*1e308*1e308)"]
         )
@@ -260,7 +265,46 @@ class TestRicciFromMetric:
             assert np.max(np.abs(lc.ricci + 0.5 * gm)) < 1e-9
 
 
+class TestInDomainProperty:
+    """Property: on 1-3 random constraints, ``in_domain`` of a potential
+    and of a metric is the first-failure tree walk's answer."""
+
+    def test_matches_the_walk(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+        seen = set()
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(_random_trees(st), min_size=1, max_size=3), coordinate, coordinate)
+        def check(constraints, t, x):
+            spec = PotentialSpec.create("random", 2, "t^2 + x^2", constraints=constraints)
+            metric = MetricField.create([["1", "0"], ["0", "1"]], constraints=constraints)
+            for source in (spec, metric):
+                inside = walked_in_domain(source, (t, x))
+                assert source.in_domain((t, x)) is inside
+                seen.add(inside)
+
+        check()
+        assert seen == {False, True}
+
+
 class TestEinsteinResidual:
+    @pytest.mark.parametrize("name", ["normal-natural", "weibull-metric"])
+    def test_is_ricci_plus_lambda_times_the_metric(self, name):
+        entry = get_entry(name)
+        if entry.kind == "potential":
+            source, points = entry.potential, sample_normal_points(10)
+            metric, curvature = fisher_metric(source), lambda p: alpha_curvature(source, 0.0, p)
+        else:
+            rng = np.random.default_rng(5)
+            source, points = entry.metric, [tuple(p) for p in rng.uniform(0.5, 3.0, (10, 2))]
+            metric, curvature = source, lambda p: ricci_from_metric(source, p)
+        for lam in (0.5, -1.25):
+            for pt in points:
+                expected = curvature(pt).ricci + lam * metric.evaluate(pt)
+                assert einstein_residual(source, lam, pt).tobytes() == expected.tobytes()
+
     def test_normal_half(self):
         for pt in sample_normal_points(50):
             res = einstein_residual(NORMAL, 0.5, pt)
@@ -319,9 +363,15 @@ def walked_metric(metric, point):
     return g
 
 
-def walked_in_domain(metric, point):
-    b = metric.bindings(point)
-    for constraint in metric.constraints:
+def walked_in_domain(source, point):
+    """The first-failure tree walk over the constraints ``in_domain`` tests:
+    a potential's with its constants resolved, a metric's as given."""
+    b = source.bindings(point)
+    if isinstance(source, PotentialSpec):
+        constraints = resolved_constraints(source)
+    else:
+        constraints = source.constraints
+    for constraint in constraints:
         try:
             if evaluate(constraint, b) <= 0.0:
                 return False
@@ -498,3 +548,62 @@ class TestRouteAgreement:
             assert np.max(np.abs(cubic - levi)) <= 1e-8 * max(1.0, np.max(np.abs(levi)))
 
         check()
+
+
+class TestPlanarRoute:
+    """The planar closed form ``r1212`` is the cubic-tensor route's
+    ``R_1212``: relative, so of one sign, unless both are within rounding
+    of the terms that cancel in it (it is zero where T has rank one)."""
+
+    @staticmethod
+    def assert_agree(spec, point, rel):
+        planar = r1212(spec, point)
+        bundle = alpha_curvature(spec, 0.0, point)
+        tensor = bundle.riemann[0, 1, 0, 1]
+        cubic = cubic_tensor(spec).evaluate(spec.bindings(point))
+        size = np.max(np.abs(cubic)) ** 2 * np.max(np.abs(np.linalg.inv(bundle.metric)))
+        assert abs(planar - tensor) <= rel * max(abs(planar), abs(tensor), size)
+        return planar
+
+    def test_catalog(self):
+        for entry in map(get_entry, entry_names()):
+            spec = entry.potential
+            if spec is None:
+                continue
+            for point in sample_points(spec, entry.box, 10, seed=1):
+                if convexity_check(spec, point) == CONVEX:
+                    self.assert_agree(spec, point, 1e-13)
+
+    def test_random_convex_potentials(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        coefficient = st.floats(0.5, 2.0)
+        coordinate = st.floats(-0.5, 0.5)
+        curved = []
+
+        @st.composite
+        def cases(draw):
+            names = ("theta1", "theta2")
+            terms = [
+                draw(st.sampled_from(TestRouteAgreement.TERMS)).format(
+                    a=repr(draw(coefficient)), b=repr(draw(coefficient))
+                ).replace("s", name)
+                for name in names
+            ]
+            weights = [draw(coefficient) for _ in names]
+            form = " + ".join(f"{w!r}*{v}" for w, v in zip(weights, names))
+            form += f" + {0.5 * sum(weights) + draw(coefficient)!r}"
+            coupling = draw(st.sampled_from([0.0, 1.0])) * draw(coefficient)
+            psi = " + ".join(terms) + f" - {coupling!r}*ln({form})"
+            return psi, form, (draw(coordinate), draw(coordinate))
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(cases())
+        def check(case):
+            psi, form, point = case
+            spec = PotentialSpec.create("planar", 2, psi, constraints=[form])
+            if convexity_check(spec, point) == CONVEX:
+                curved.append(self.assert_agree(spec, point, 1e-9) != 0.0)
+
+        check()
+        assert any(curved)

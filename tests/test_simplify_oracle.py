@@ -425,7 +425,7 @@ class TestRandomTreeWalkers:
         @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
         @hypothesis.given(_random_trees(st))
         def check(e):
-            replaced = substitute(e, "t", Num(1.0))
+            replaced = substitute(e, {"t": Num(1.0)})
             assert free_variables(replaced) == free_variables(e) - {"t"}
 
         check()

@@ -23,18 +23,9 @@ from .geometry import (
     MetricField,
     PotentialSpec,
     einstein_residual,
-    fisher_metric,
     metric_as_text,
 )
-from .planar import (
-    CONVEX,
-    DEFAULT_SEED,
-    convexity_check,
-    lambda_estimate,
-    pde_residual,
-    r1212,
-    sample_points,
-)
+from .planar import CONVEX, DEFAULT_SEED, evaluate_points, sample_points
 
 # check identifiers an entry may declare
 CHECK_CONVEXITY = "convexity"
@@ -376,29 +367,31 @@ def export_catalog() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def verify_entry(name: str, seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Re-run the stored checks of one entry; never raises on check failure."""
+    """Re-run the stored checks of one entry; never raises on check failure.
+
+    A potential entry is evaluated once at its sample points, and every
+    check reduces those values.
+    """
     entry = get_entry(name)
     results: list[CheckResult] = []
 
     if entry.kind == "potential":
-        spec = entry.potential
-        points = sample_points(spec, entry.box, entry.samples, seed=seed)
+        points = sample_points(entry.potential, entry.box, entry.samples, seed=seed)
+        values = evaluate_points(entry.potential, points)
         for check in entry.checks:
             if check == CHECK_CONVEXITY:
-                bad = sum(1 for pt in points if convexity_check(spec, pt) != CONVEX)
+                bad = sum(1 for verdict in values.convexity() if verdict != CONVEX)
                 results.append(
                     CheckResult(check, bad == 0, {"points": len(points), "failures": bad})
                 )
             elif check == CHECK_PDE_RESIDUAL:
-                worst = worst_residual(
-                    abs(pde_residual(spec, entry.expected_lambda, pt, relative=True))
-                    for pt in points
-                )
+                residuals = values.pde_residuals(entry.expected_lambda, relative=True)
+                worst = worst_residual(np.abs(residuals).tolist())
                 results.append(
                     CheckResult(check, worst < PDE_RESIDUAL_TOL, {"max_residual": worst})
                 )
             elif check == CHECK_LAMBDA:
-                est = lambda_estimate(spec, points)
+                est = values.lambda_estimate()
                 ok = (
                     est.deviation < LAMBDA_DEVIATION_TOL
                     and abs(est.estimate - entry.expected_lambda) < 1e-6
@@ -411,17 +404,10 @@ def verify_entry(name: str, seed: int = DEFAULT_SEED) -> VerificationReport:
                     )
                 )
             elif check == CHECK_FLATNESS:
-                worst = worst_residual(abs(r1212(spec, pt)) for pt in points)
+                worst = worst_residual(np.abs(values.curvature()[0]).tolist())
                 results.append(CheckResult(check, worst < FLATNESS_TOL, {"max_r1212": worst}))
             elif check == CHECK_DEGENERATE:
-                metric = fisher_metric(spec)
-                dets = []
-                for pt in points:
-                    g = metric.evaluate(pt)
-                    scale = float(np.max(np.abs(g)))
-                    det = float(np.linalg.det(g))
-                    dets.append(abs(det) / scale ** 2 if scale else 0.0)
-                worst = worst_residual(dets)
+                worst = worst_residual(values.relative_determinants())
                 results.append(
                     CheckResult(check, worst < DEGENERACY_TOL, {"max_relative_det": worst})
                 )

@@ -60,9 +60,8 @@ from .jets import (
 from .planar import (
     DEFAULT_SEED,
     convexity_scan,
+    evaluate_points,
     grid_centers,
-    lambda_estimate,
-    pde_residual,
     sample_points,
 )
 
@@ -266,15 +265,17 @@ def _cmd_check(args) -> int:
     box = _parse_box(CHECK_BOX if args.box is None else args.box)
     samples = CHECK_SAMPLES if args.samples is None else args.samples
     points = sample_points(spec, box, samples, seed=args.seed)
-    results = []
-    for pt in points:
-        residual = pde_residual(spec, args.lam, pt, relative=True)
-        results.append({"point": list(pt), "relative_residual": residual})
-    worst = worst_residual(abs(r["relative_residual"]) for r in results)
+    values = evaluate_points(spec, points)
+    residuals = values.pde_residuals(args.lam, relative=True).tolist()
+    results = [
+        {"point": list(pt), "relative_residual": residual}
+        for pt, residual in zip(points, residuals)
+    ]
+    worst = worst_residual(map(abs, residuals))
     passed = worst < PDE_RESIDUAL_TOL
     summary = {"max_relative_residual": worst}
     try:
-        est = lambda_estimate(spec, points)
+        est = values.lambda_estimate()
         summary.update(lambda_estimate=est.estimate, lambda_deviation=est.deviation)
     except SingularMetricError as exc:
         # without a Fisher metric the residual is 0 - 0 for every lambda

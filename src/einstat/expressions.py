@@ -26,12 +26,15 @@ with one Richardson extrapolation level.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -572,6 +575,10 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
     slot ends non-finite (which is where :func:`evaluate` may have raised
     on an overflow), the call re-runs :func:`evaluate`, so every error and
     the subtree it carries are the tree walk's own.
+
+    Its ``columns`` attribute evaluates the family over a whole set of
+    points (see :func:`_column_run`); nothing is built for that until it
+    is called.
     """
     exprs = tuple(exprs)
 
@@ -611,6 +618,7 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
     try:
         roots = _post_order(exprs, number)
     except _Untapeable:
+        walk.columns = functools.partial(_column_run, exprs, None)
         return walk
     tape = tuple(tape)
 
@@ -629,7 +637,100 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
             return walk(bindings)
         return tuple([values[r] for r in roots])
 
+    # a partial of a module function: the tape holds no reference to itself,
+    # so it is freed as soon as it is dropped
+    run.columns = functools.partial(_column_run, exprs, (template, names, tape, roots))
     return run
+
+
+#: Column instruction for each scalar one that numpy computes with the same
+#: IEEE operation.  numpy's ``exp``, ``log`` and ``**`` differ from ``math``
+#: in the last bits, so those, and ``sin``/``cos``, run element by element.
+_COLUMN_UFUNCS: dict = {
+    operator.neg: np.negative,
+    operator.add: np.add,
+    operator.sub: np.subtract,
+    operator.mul: np.multiply,
+    operator.truediv: np.divide,
+    math.sqrt: np.sqrt,
+}
+
+
+def _elementwise(fn: Callable, *args: list) -> list:
+    """``fn`` at each row of the argument lists, NaN where it raises."""
+    try:
+        return list(map(fn, *args))
+    except Exception:
+        out = []
+        for row in zip(*args):
+            try:
+                out.append(fn(*row))
+            except Exception:
+                out.append(math.nan)
+        return out
+
+
+def _column_run(
+    exprs: tuple[Expr, ...], program: tuple | None, columns: Mapping[str, np.ndarray]
+) -> tuple[np.ndarray, dict[int, ExpressionError]]:
+    """The values of ``exprs`` at every row of ``columns`` (one array per
+    variable, all of one length), as a ``(len(exprs), rows)`` array, and
+    the :class:`ExpressionError` of each row where :func:`evaluate` raises.
+
+    ``program`` is the family's tape as ``(template, names, instructions,
+    roots)``, or None for a family without one.  Each
+    instruction runs once over the whole column: as a numpy ufunc where
+    numpy computes the same IEEE operation, or element by element through
+    the scalar instruction.  Every row where a slot ends non-finite or a
+    scalar instruction raises (NaN there), where the scalar loop falls back
+    to the tree walk, is evaluated by the walk, and so is every row of a
+    family without a tape; so each value and each error is the scalar
+    loop's own.  A failed row holds NaN.
+    """
+    rows = len(next(iter(columns.values()), ()))
+    redo = range(rows)
+    if program is None:
+        out = np.empty((len(exprs), rows))
+    else:
+        template, names, tape, roots = program
+        values = np.empty((len(template), rows))
+        slot_values = list(values)
+        try:
+            for slot, name in names:
+                slot_values[slot][:] = columns[name]
+        except KeyError:  # an unbound name: let each row raise it
+            pass
+        else:
+            for slot, value in enumerate(template):
+                if value is not None:
+                    slot_values[slot][:] = value
+            with np.errstate(all="ignore"):
+                for slot, fn, a, b in tape:
+                    ufunc = _COLUMN_UFUNCS.get(fn)
+                    if ufunc is None:
+                        args = [slot_values[a].tolist()]
+                        if b >= 0:
+                            args.append(slot_values[b].tolist())
+                        slot_values[slot][:] = _elementwise(fn, *args)
+                    elif b < 0:
+                        ufunc(slot_values[a], out=slot_values[slot])
+                    else:
+                        ufunc(slot_values[a], slot_values[b], out=slot_values[slot])
+                redo = np.flatnonzero(~np.isfinite(values.sum(axis=0))).tolist()
+        out = values[list(roots)]
+    listed = {name: np.asarray(column).tolist() for name, column in columns.items()}
+    errors: dict[int, ExpressionError] = {}
+    redone = []
+    for row in redo:
+        try:
+            bindings = {name: column[row] for name, column in listed.items()}
+            redone.append([evaluate(e, bindings) for e in exprs])
+        except ExpressionError as exc:
+            redone.append((math.nan,) * len(exprs))
+            errors[row] = exc
+    if redone:
+        out[:, redo] = np.array(redone).reshape(len(redone), len(exprs)).T
+    return out, errors
 
 
 def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:

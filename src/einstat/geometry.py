@@ -90,6 +90,16 @@ def _bindings(self, point: Point) -> dict[str, float]:  # of both PotentialSpec 
     return dict(zip(_theta_names(self.dimension), map(float, point)))
 
 
+def _column_bindings(self, points) -> dict[str, np.ndarray]:  # of both
+    """Bindings of a set of points: one column per coordinate."""
+    block = np.asarray(points, dtype=float)
+    if block.size == 0:
+        block = block.reshape(0, self.dimension)
+    if block.ndim != 2 or block.shape[1] != self.dimension:
+        raise ValueError(f"expected a {self.dimension}-dimensional point")
+    return dict(zip(_theta_names(self.dimension), block.T))
+
+
 def _in_domain(self, point: Point) -> bool:  # in_domain of both PotentialSpec and MetricField
     """Whether every domain constraint is strictly positive at the point.
 
@@ -102,6 +112,15 @@ def _in_domain(self, point: Point) -> bool:  # in_domain of both PotentialSpec a
     except ExpressionError:
         return False
     return not any(value <= 0.0 for value in values)
+
+
+def _in_domain_columns(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:  # of both
+    """:meth:`in_domain` at every row of the column bindings, from one
+    column run of the constraint tape."""
+    values, errors = _constraint_tape(self).columns(columns)
+    inside = ~(values <= 0.0).any(axis=0)
+    inside[list(errors)] = False
+    return inside
 
 
 @dataclass(frozen=True)
@@ -122,7 +141,9 @@ class PotentialSpec:
     __hash__ = _cached_hash
     __getstate__ = _state_without_hash
     bindings = _bindings
+    column_bindings = _column_bindings
     in_domain = _in_domain
+    in_domain_columns = _in_domain_columns
 
     @classmethod
     def create(
@@ -201,7 +222,9 @@ class MetricField:
     __hash__ = _cached_hash
     __getstate__ = _state_without_hash
     bindings = _bindings
+    column_bindings = _column_bindings
     in_domain = _in_domain
+    in_domain_columns = _in_domain_columns
 
     @classmethod
     def create(
@@ -368,9 +391,13 @@ def _checked_inverse(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
+def _outside_domain(spec: PotentialSpec) -> DomainError:
+    return DomainError("point violates the domain constraints", resolved_potential(spec))
+
+
 def _require_in_domain(spec: PotentialSpec, point: Point) -> None:
     if not spec.in_domain(point):
-        raise DomainError("point violates the domain constraints", resolved_potential(spec))
+        raise _outside_domain(spec)
 
 
 def alpha_curvature(spec: PotentialSpec, alpha: float, point: Point) -> CurvatureBundle:

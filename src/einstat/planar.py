@@ -18,9 +18,10 @@ the admissibility condition throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,12 +33,15 @@ from .geometry import (
     SingularMetricError,
     _cubic_tape,
     _hessian_tape,
-    _require_in_domain,
+    _in_domain,
+    _outside_domain,
 )
 
 DEFAULT_SEED = 42
 CONVEXITY_MARGIN = 1e-12
 MAX_SAMPLING_ATTEMPTS = 100_000
+#: Largest block of candidates :func:`sample_points` draws and tests at once.
+SAMPLING_BLOCK = 4096
 
 CONVEX = "convex"
 NOT_CONVEX = "not-convex"
@@ -55,14 +59,6 @@ def _require_planar(spec: PotentialSpec) -> None:
         raise ValueError(f"'{spec.name}' is {spec.dimension}-dimensional, need 2")
 
 
-def _hessian_values(spec: PotentialSpec, point) -> tuple[float, float, float]:
-    return _hessian_tape(spec)(spec.bindings(point))
-
-
-def _third_values(spec: PotentialSpec, point) -> tuple[float, float, float, float]:
-    return _cubic_tape(spec)(spec.bindings(point))
-
-
 def _curvature_numerator(h2, h3) -> float:
     ptt, ptx, pxx = h2
     pttt, pttx, ptxx, pxxx = h3
@@ -73,21 +69,211 @@ def _curvature_numerator(h2, h3) -> float:
     )
 
 
-def _checked_curvature(spec: PotentialSpec, point) -> tuple[float, float]:
-    """R1212 and det(g) at an in-domain point where the metric is not singular."""
+def _squares(values) -> tuple[np.ndarray, dict[int, OverflowError]]:
+    """``v ** 2`` at every point as Python computes it, and the error of
+    each point where that overflows (inf there).
+
+    Python's ``**`` is the C library's pow, which is not always ``v * v``
+    in the last bit, and it raises on overflow where ``*`` gives inf.
+    """
+    listed = values.tolist()
+    one = not isinstance(listed, list)
+    squares, overflows = [], {}
+    for row, v in enumerate([listed] if one else listed):
+        try:
+            squares.append(v ** 2)
+        except OverflowError as exc:
+            squares.append(math.inf)
+            overflows[row] = exc
+    return squares[0] if one else np.array(squares), overflows
+
+
+def _first(mask, error: Callable[[int], Exception]) -> dict[int, Exception]:
+    """The first point the mask flags, mapped to its error."""
+    if not np.count_nonzero(mask):
+        return {}
+    row = int(np.flatnonzero(mask)[0])
+    return {row: error(row)}
+
+
+def _division_by_zero(row: int) -> ZeroDivisionError:
+    # what Python raises where a float divisor underflowed to zero
+    return ZeroDivisionError("float division by zero")
+
+
+def _raise_first(*failures: dict[int, Exception]) -> None:
+    """Raise the error of the first failed point; at one point, the maps'
+    errors rank in the order they are given."""
+    rows = [min(failed) for failed in failures if failed]
+    if rows:
+        row = min(rows)
+        raise next(failed[row] for failed in failures if row in failed)
+
+
+def _quietly(method):
+    """Run with numpy's floating-point warnings off: where a value overflows
+    or is NaN, the reductions check for it as the scalar formulas do."""
+
+    @functools.wraps(method)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return method(*args, **kwargs)
+
+    return quiet
+
+
+def _inside(spec: PotentialSpec | MetricField, points: np.ndarray) -> np.ndarray:
+    """``spec.in_domain`` at each row of the points: the stock test as one
+    column run, a replaced one (a subclass's, or a test double's) point by
+    point."""
+    if type(spec).in_domain is _in_domain:
+        return spec.in_domain_columns(spec.column_bindings(points))
+    return np.array([spec.in_domain(pt) for pt in map(tuple, points.tolist())], dtype=bool)
+
+
+@dataclass
+class PointValues:
+    """The Hessian and cubic-tensor values of a potential at a set of points,
+    or at one point.
+
+    ``hessian`` holds ``psi_tt, psi_tx, psi_xx`` and ``cubic`` holds
+    ``psi_ttt, psi_ttx, psi_txx, psi_xxx``: as rows with one column per
+    point (from :func:`evaluate_points`) or as one value each (at one
+    point), NaN where the point failed.  ``failed`` maps a point to the
+    error met before its Hessian exists (outside the domain, or the Hessian
+    tape's), ``cubic_failed`` to the cubic tape's.  Each method reduces the
+    values to one check's, in the same shape, and raises the error the
+    check meets first, point by point and at each point in the order of
+    the scalar formulas (Python's own float errors included).
+    """
+
+    hessian: np.ndarray
+    cubic: np.ndarray | None
+    failed: dict[int, ExpressionError]
+    cubic_failed: dict[int, ExpressionError]
+
+    def _scale(self) -> np.ndarray:
+        return np.abs(self.hessian).max(axis=0)
+
+    def _determinants(self) -> tuple[np.ndarray, dict[int, OverflowError]]:
+        ptt, ptx, pxx = self.hessian
+        squares, overflows = _squares(ptx)
+        return ptt * pxx - squares, overflows
+
+    @_quietly
+    def convexity(self) -> list[str]:
+        """Convexity holds when trace and determinant of the Hessian both
+        exceed the margin after normalization by the largest Hessian entry;
+        an all-zero Hessian is not convex."""
+        ptt, ptx, pxx = self.hessian
+        scale = self._scale()
+        trace = (ptt + pxx) / scale
+        det = (ptt * pxx - ptx * ptx) / (scale * scale)
+        _raise_first(_first((scale != 0.0) & (scale * scale == 0.0), _division_by_zero))
+        convex = ((trace > CONVEXITY_MARGIN) & (det > CONVEXITY_MARGIN)).tolist()
+        return [
+            DOMAIN_ERROR if row in self.failed else CONVEX if ok else NOT_CONVEX
+            for row, ok in enumerate(convex if isinstance(convex, list) else [convex])
+        ]
+
+    @_quietly
+    def pde_residuals(self, lam: float, relative: bool = False) -> np.ndarray:
+        """:func:`pde_residual` at every point."""
+        det, overflows = self._determinants()
+        _raise_first(self.failed, overflows, self.cubic_failed)
+        lhs = _curvature_numerator(self.hessian, self.cubic)
+        rhs = 4.0 * lam * det * det
+        residual = lhs - rhs
+        if relative:
+            return residual / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        return residual
+
+    @_quietly
+    def curvature(self) -> tuple[np.ndarray, np.ndarray]:
+        """R1212 and det(g) at every point, each in the domain and with a
+        metric that is not singular."""
+        det, det_overflows = self._determinants()
+        squares, scale_overflows = _squares(self._scale())
+        # a zero Hessian has det 0 and is singular too
+        singular = _first(
+            np.abs(det) <= SINGULARITY_THRESHOLD * squares,
+            lambda row: SingularMetricError(
+                f"metric is numerically singular (det={np.ravel(det)[row]:.3e})"
+            ),
+        )
+        _raise_first(self.failed, det_overflows, scale_overflows, singular, self.cubic_failed)
+        return _curvature_numerator(self.hessian, self.cubic) / (4.0 * det), det
+
+    @_quietly
+    def relative_determinants(self) -> list[float]:
+        """``|det g| / max|g_ij|^2`` at every point (0 for a zero Hessian),
+        with ``np.linalg.det`` of each 2x2 metric: stacked, it returns the
+        same floats."""
+        ptt, ptx, pxx = self.hessian
+        scale = self._scale()
+        squares, overflows = _squares(scale)
+        zero = _first((scale != 0.0) & (squares == 0.0), _division_by_zero)
+        _raise_first(self.failed, overflows, zero)
+        det = np.linalg.det(np.stack([ptt, ptx, ptx, pxx], axis=-1).reshape(-1, 2, 2))
+        return np.where(scale != 0.0, np.abs(det) / squares, 0.0).tolist()
+
+    @_quietly
+    def lambda_estimate(self) -> "LambdaEstimate":
+        """:func:`lambda_estimate` over a set of points."""
+        r, det = self.curvature()
+        values = (r / det).tolist()
+        if len(values) < 2:
+            raise ValueError("need at least two valid sample points")
+        estimate = math.fsum(values) / len(values)
+        deviation = max(abs(v - estimate) for v in values)
+        return LambdaEstimate(estimate, deviation, len(values))
+
+
+def evaluate_points(
+    spec: PotentialSpec, points: Sequence, cubic: bool = True
+) -> PointValues:
+    """The Hessian (and, with ``cubic``, the cubic tensor) of the potential
+    at every point, from one column run of the domain test and of each tape:
+    the floats and errors :func:`_at_point` gives point by point.
+    """
     _require_planar(spec)
-    _require_in_domain(spec, point)
-    h2 = _hessian_values(spec, point)
-    det = h2[0] * h2[2] - h2[1] ** 2
-    scale = max(abs(v) for v in h2)
-    if scale == 0.0 or abs(det) <= SINGULARITY_THRESHOLD * scale ** 2:
-        raise SingularMetricError(f"metric is numerically singular (det={det:.3e})")
-    return _curvature_numerator(h2, _third_values(spec, point)) / (4.0 * det), det
+    block = np.array(list(points), dtype=float)
+    columns = spec.column_bindings(block)
+    hessian, failed = _hessian_tape(spec).columns(columns)
+    outside = np.flatnonzero(~_inside(spec, block)).tolist()
+    failed.update((row, _outside_domain(spec)) for row in outside)
+    hessian[:, list(failed)] = np.nan
+    third, cubic_failed = _cubic_tape(spec).columns(columns) if cubic else (None, {})
+    return PointValues(hessian, third, failed, cubic_failed)
+
+
+def _at_point(spec: PotentialSpec, point, cubic: bool = True) -> PointValues:
+    """The :class:`PointValues` of one point, from the scalar tapes."""
+    _require_planar(spec)
+    failed, cubic_failed = {}, {}
+    hessian, third = (math.nan,) * 3, (math.nan,) * 4
+    if not spec.in_domain(point):
+        failed[0] = _outside_domain(spec)
+    else:
+        bindings = spec.bindings(point)
+        try:
+            hessian = _hessian_tape(spec)(bindings)
+        except ExpressionError as exc:
+            failed[0] = exc
+        else:
+            try:
+                if cubic:
+                    third = _cubic_tape(spec)(bindings)
+            except ExpressionError as exc:
+                cubic_failed[0] = exc
+    return PointValues(
+        np.array(hessian), np.array(third) if cubic else None, failed, cubic_failed
+    )
 
 
 def r1212(spec: PotentialSpec, point) -> float:
     """The single curvature component of the Hessian metric at a point."""
-    return _checked_curvature(spec, point)[0]
+    return float(_at_point(spec, point).curvature()[0])
 
 
 def pde_residual(spec: PotentialSpec, lam: float, point, relative: bool = False) -> float:
@@ -99,39 +285,13 @@ def pde_residual(spec: PotentialSpec, lam: float, point, relative: bool = False)
     potentials of very different magnitude.  A singular metric is allowed;
     a point outside the domain raises :class:`DomainError`.
     """
-    _require_planar(spec)
-    _require_in_domain(spec, point)
-    h2 = _hessian_values(spec, point)
-    det = h2[0] * h2[2] - h2[1] ** 2
-    lhs = _curvature_numerator(h2, _third_values(spec, point))
-    rhs = 4.0 * lam * det * det
-    residual = lhs - rhs
-    if relative:
-        return residual / max(abs(lhs), abs(rhs), 1.0)
-    return residual
+    return float(_at_point(spec, point).pde_residuals(lam, relative))
 
 
 def convexity_check(spec: PotentialSpec, point) -> str:
-    """Classify a point as convex, not-convex, or domain-error.
-
-    Convexity holds when trace and determinant of the Hessian both exceed
-    the margin after normalization by the largest Hessian entry.
-    """
-    _require_planar(spec)
-    try:
-        if not spec.in_domain(point):
-            return DOMAIN_ERROR
-        ptt, ptx, pxx = _hessian_values(spec, point)
-    except ExpressionError:
-        return DOMAIN_ERROR
-    scale = max(abs(ptt), abs(ptx), abs(pxx))
-    if scale == 0.0:
-        return NOT_CONVEX
-    trace = (ptt + pxx) / scale
-    det = (ptt * pxx - ptx * ptx) / (scale * scale)
-    if trace > CONVEXITY_MARGIN and det > CONVEXITY_MARGIN:
-        return CONVEX
-    return NOT_CONVEX
+    """Classify a point as convex, not-convex, or domain-error
+    (see :meth:`PointValues.convexity`)."""
+    return _at_point(spec, point, cubic=False).convexity()[0]
 
 
 @dataclass
@@ -202,7 +362,8 @@ def convexity_scan(spec: PotentialSpec, box: Box, grid: tuple[int, int]) -> Conv
         raise ValueError("grid dimensions must be at least 2x2")
     t0, t1, x0, x1 = map(float, box)
     dt, dx = (t1 - t0) / rows, (x1 - x0) / cols
-    cells = [convexity_check(spec, pt) for _, _, pt in grid_centers(box, grid)]
+    centers = [pt for _, _, pt in grid_centers(box, grid)]
+    cells = evaluate_points(spec, centers, cubic=False).convexity()
     verdicts = tuple(tuple(cells[r * cols:(r + 1) * cols]) for r in range(rows))
     counts = {v: cells.count(v) for v in (CONVEX, NOT_CONVEX, DOMAIN_ERROR)}
     mask = np.array([v == CONVEX for v in cells]).reshape(rows, cols)
@@ -229,12 +390,7 @@ def lambda_estimate(spec: PotentialSpec, points) -> LambdaEstimate:
     it raises :class:`DomainError` outside the domain and
     :class:`SingularMetricError` where the metric is singular.
     """
-    values = [curv / det for curv, det in (_checked_curvature(spec, pt) for pt in points)]
-    if len(values) < 2:
-        raise ValueError("need at least two valid sample points")
-    estimate = math.fsum(values) / len(values)
-    deviation = max(abs(v - estimate) for v in values)
-    return LambdaEstimate(estimate, deviation, len(values))
+    return evaluate_points(spec, points).lambda_estimate()
 
 
 def sample_points(
@@ -242,21 +398,30 @@ def sample_points(
 ) -> list[tuple[float, float]]:
     """Draw in-domain points uniformly from the box by rejection.
 
-    Raises :class:`SamplingError` when fewer than ``count`` points are
-    found within the attempt budget.
+    Candidates are the stream of ``(uniform(t0, t1), uniform(x0, x1))``
+    pairs of the seeded generator, drawn and domain-tested in blocks and
+    accepted in order.  Raises :class:`SamplingError` when fewer than
+    ``count`` of the first ``MAX_SAMPLING_ATTEMPTS`` candidates are in the
+    domain.
     """
     _require_planar(spec)
     t0, t1, x0, x1 = map(float, box)
     rng = np.random.default_rng(seed)
     points: list[tuple[float, float]] = []
     attempts = 0
+    block = min(max(count, 1), SAMPLING_BLOCK)
     while len(points) < count:
         if attempts >= MAX_SAMPLING_ATTEMPTS:
             raise SamplingError(
                 f"could not draw {count} in-domain points from {tuple(box)}"
             )
-        attempts += 1
-        pt = (float(rng.uniform(t0, t1)), float(rng.uniform(x0, x1)))
-        if spec.in_domain(pt):
-            points.append(pt)
+        if not (math.isfinite(t1 - t0) and math.isfinite(x1 - x0)):
+            # as a draw of one coordinate raises it
+            raise OverflowError("high - low range exceeds valid bounds")
+        size = min(block, MAX_SAMPLING_ATTEMPTS - attempts)
+        candidates = rng.uniform((t0, x0), (t1, x1), size=(size, 2))
+        attempts += size
+        accepted = candidates[_inside(spec, candidates)][: count - len(points)]
+        points += map(tuple, accepted.tolist())
+        block = min(2 * block, SAMPLING_BLOCK)
     return points

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from einstat import catalog
+from einstat import catalog, cli
 from einstat.catalog import (
     CHECK_EINSTEIN,
     CHECK_PDE_RESIDUAL,
@@ -18,7 +18,8 @@ from einstat.catalog import (
     verify_all,
     verify_entry,
 )
-from einstat.geometry import fisher_metric
+from einstat.expressions import DomainError
+from einstat.geometry import PotentialSpec, SingularMetricError, fisher_metric
 from einstat.planar import r1212, sample_points
 
 INVARIANT_NAMES = [
@@ -105,6 +106,43 @@ class TestVerification:
         report = verify_entry("weibull-metric")
         assert not report.passed
         assert "could not draw 100 in-domain points" in report.checks[0].detail["error"]
+
+    # the stored checks on a set of points where a tape raises, or where
+    # the metric is singular: the first error in check order, then in point
+    # order, is raised (and the CLI exits 3 with it), as point by point
+    @pytest.mark.parametrize(
+        "psi, box, checks, seed, error, message",
+        [
+            # the Hessian overflows at some points, the cubic tensor at more
+            ("exp(exp(t)) + x^2", (6.50, 6.56, -1.0, 1.0),
+             ("convexity", "pde-residual", "lambda-estimate"), 1,
+             DomainError, "overflow in 'exp(exp(theta1))*exp(theta1)*exp(theta1)'"),
+            ("t^2 + x^2 + sqrt(t*x)^3", (-1.0, 1.0, -1.0, 1.0),
+             ("convexity", "pde-residual"), 2,
+             DomainError, "sqrt of negative value in 'sqrt(theta1*theta2)'"),
+            # singular past t = 3.1, and the tapes overflow past t = 6.54
+            ("exp(exp(t)) + x^2", (2.9, 6.6, -1.0, 1.0),
+             ("convexity", "lambda-estimate", "flatness"), 1,
+             SingularMetricError, "metric is numerically singular (det=8.136e+56)"),
+            ("exp(exp(t)) + x^2", (2.9, 6.6, -1.0, 1.0),
+             ("flatness",), 2,
+             SingularMetricError, "metric is numerically singular (det=2.808e+24)"),
+        ],
+    )
+    def test_first_error_of_a_failing_sample_set(
+        self, monkeypatch, capsys, psi, box, checks, seed, error, message
+    ):
+        spec = PotentialSpec.create("normal-natural", 2, psi)
+        entry = dataclasses.replace(
+            get_entry("normal-natural"), potential=spec, box=box, checks=checks
+        )
+        monkeypatch.setitem(catalog._ENTRIES, "normal-natural", entry)
+        with pytest.raises(error) as raised:
+            verify_entry("normal-natural", seed=seed)
+        assert str(raised.value) == message
+        assert cli.main(["catalog", "verify", "normal-natural", "--seed", str(seed)]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_report_serializes(self):
         report = verify_entry("product-cosh")

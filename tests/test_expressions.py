@@ -16,7 +16,9 @@ from einstat.expressions import (
     ParseError,
     Pow,
     Sub,
+    ExpressionError,
     UnboundVariableError,
+    UnknownConstantError,
     UnknownFunctionError,
     Var,
     _TAPE_OPS,
@@ -32,7 +34,16 @@ from einstat.expressions import (
     to_text,
     worst_residual,
 )
-from einstat.geometry import cubic_tensor, fisher_metric, resolved_constraints
+from einstat.geometry import (
+    _constraint_tape,
+    _cubic_tape,
+    _entry_tape,
+    _hessian_tape,
+    _levi_civita_tape,
+    cubic_tensor,
+    fisher_metric,
+    resolved_constraints,
+)
 from einstat.planar import sample_points
 
 NORMAL_PSI = "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2"
@@ -403,11 +414,56 @@ class TestCompiledFamily:
         e = parse(text)
         with pytest.raises(Exception) as walked:
             evaluate(e, bindings)
+        tape = compile_family([parse("x*2"), e])
         with pytest.raises(Exception) as taped:
-            compile_family([parse("x*2"), e])(bindings)
-        assert type(taped.value) is type(walked.value)
-        assert str(taped.value) == str(walked.value)
-        assert getattr(taped.value, "subtree", None) == getattr(walked.value, "subtree", None)
+            tape(bindings)
+        # and at each row of a column run
+        values, errors = tape.columns({k: np.array([v, v]) for k, v in bindings.items()})
+        assert np.isnan(values).all()
+        for error in (taped.value, errors[0], errors[1]):
+            assert type(error) is type(walked.value)
+            assert str(error) == str(walked.value)
+            assert getattr(error, "subtree", None) == getattr(walked.value, "subtree", None)
+
+    @pytest.mark.parametrize("name", entry_names())
+    def test_catalog_columns_match_the_scalar_tape_bitwise(self, name):
+        # the entry's sample points, then points of a box twice as wide drawn
+        # without the domain test, where the tapes may raise
+        entry = get_entry(name)
+        source = entry.source()
+        if entry.kind == "potential":
+            tapes = [_hessian_tape(source), _cubic_tape(source), _constraint_tape(source)]
+        else:
+            tapes = [_entry_tape(source), _constraint_tape(source), _levi_civita_tape(source)]
+        t0, t1, x0, x1 = entry.box
+        wide = np.random.default_rng(7).uniform(
+            (1.5 * t0 - 0.5 * t1, 1.5 * x0 - 0.5 * x1),
+            (1.5 * t1 - 0.5 * t0, 1.5 * x1 - 0.5 * x0),
+            size=(60, 2),
+        )
+        for points in (
+            sample_points(source, entry.box, entry.samples, seed=1),
+            sample_points(source, entry.box, entry.samples, seed=42),
+            wide.tolist(),
+        ):
+            columns = source.column_bindings(points)
+            for tape in tapes:
+                values, errors = tape.columns(columns)
+                for row, point in enumerate(points):
+                    try:
+                        expected = self.bits(tape(source.bindings(point)))
+                    except ExpressionError as exc:
+                        assert type(errors[row]) is type(exc)
+                        assert str(errors[row]) == str(exc)
+                    else:
+                        assert row not in errors
+                        assert self.bits(values[:, row].tolist()) == expected
+
+    def test_family_without_a_tape_runs_columns_by_the_walk(self):
+        family = [Var("x"), Add(Const("nope"), Var("x"))]  # an unknown constant
+        values, errors = compile_family(family).columns({"x": np.array([1.0, 2.0])})
+        assert [type(errors[row]) for row in (0, 1)] == [UnknownConstantError] * 2
+        assert np.isnan(values).all()
 
     def test_signed_zeros_survive(self):
         # Num(0.0) == Num(-0.0), so the tape keys numbers by bit pattern

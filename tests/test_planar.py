@@ -1,15 +1,34 @@
+import dataclasses
+import math
+import struct
+
 import numpy as np
 import pytest
 
-from einstat.expressions import DomainError
-from einstat.geometry import PotentialSpec, SingularMetricError, alpha_curvature
+from einstat import planar
+from einstat.catalog import get_entry
+from einstat.expressions import DomainError, ExpressionError
+from einstat.geometry import (
+    SINGULARITY_THRESHOLD,
+    PotentialSpec,
+    SingularMetricError,
+    _cubic_tape,
+    _hessian_tape,
+    _in_domain,
+    alpha_curvature,
+    fisher_metric,
+    resolved_potential,
+)
 from einstat.planar import (
     CONVEX,
     DOMAIN_ERROR,
+    MAX_SAMPLING_ATTEMPTS,
     NOT_CONVEX,
+    LambdaEstimate,
     SamplingError,
     convexity_check,
     convexity_scan,
+    evaluate_points,
     grid_centers,
     lambda_estimate,
     pde_residual,
@@ -254,3 +273,210 @@ class TestSampling:
         impossible = PotentialSpec.create("nowhere", 2, "t", constraints=["0 - t^2 - 1"])
         with pytest.raises(SamplingError):
             sample_points(impossible, (-1, 1, -1, 1), 1, seed=0)
+
+
+def candidate_loop(spec, box, count, seed, budget=MAX_SAMPLING_ATTEMPTS):
+    """The per-candidate sampler: draw ``(uniform(t0, t1), uniform(x0, x1))``
+    and test it, one candidate at a time.  Returns the points and how many
+    candidates were drawn."""
+    t0, t1, x0, x1 = map(float, box)
+    rng = np.random.default_rng(seed)
+    points, attempts = [], 0
+    while len(points) < count:
+        if attempts >= budget:
+            raise SamplingError(f"could not draw {count} in-domain points from {tuple(box)}")
+        attempts += 1
+        pt = (float(rng.uniform(t0, t1)), float(rng.uniform(x0, x1)))
+        if spec.in_domain(pt):
+            points.append(pt)
+    return points, attempts
+
+
+SAMPLED = [
+    (NORMAL, (-1.0, 1.0, -2.0, 2.0)),            # about half outside
+    (PRODUCT_POWER, (-1.0, 3.0, -1.0, 3.0)),
+    (INVARIANT_X6AX2, (-1.0, 3.0, -2.0, 2.0)),
+    (get_entry("weibull-metric").metric, (-1.0, 3.0, -2.0, 3.0)),
+    (get_entry("invariant-X8aX5").potential, (-0.5, 3.0, -0.5, 3.0)),
+    (QUADRATIC, (0.0, 1.0, 5.0, 5.0)),          # a zero-width side
+]
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("source, box", SAMPLED)
+    def test_same_points_as_the_candidate_loop(self, source, box):
+        for seed in range(12):
+            for count in (1, 7, 100, 333):
+                assert sample_points(source, box, count, seed=seed) == candidate_loop(
+                    source, box, count, seed
+                )[0]
+
+    @pytest.mark.parametrize("source, box", SAMPLED[:4])
+    def test_sampling_error_at_the_same_budget(self, source, box, monkeypatch):
+        for seed in (3, 4):
+            points, needed = candidate_loop(source, box, 40, seed)
+            monkeypatch.setattr(planar, "MAX_SAMPLING_ATTEMPTS", needed)
+            assert sample_points(source, box, 40, seed=seed) == points
+            monkeypatch.setattr(planar, "MAX_SAMPLING_ATTEMPTS", needed - 1)
+            with pytest.raises(SamplingError, match="could not draw 40 in-domain points"):
+                sample_points(source, box, 40, seed=seed)
+
+    def test_replaced_domain_test_is_asked_point_by_point(self, monkeypatch):
+        asked = []
+
+        def counting(self, point):
+            asked.append(point)
+            return _in_domain(self, point)
+
+        expected = sample_points(NORMAL, (-1.0, 1.0, -2.0, 2.0), 20, seed=9)
+        monkeypatch.setattr(PotentialSpec, "in_domain", counting)
+        assert sample_points(NORMAL, (-1.0, 1.0, -2.0, 2.0), 20, seed=9) == expected
+        assert expected == [pt for pt in asked if pt[1] < 0][:20]
+
+    def test_unbounded_box_raises_as_a_draw_does(self):
+        with pytest.raises(OverflowError, match="high - low range exceeds valid bounds"):
+            sample_points(QUADRATIC, (-1e308, 1e308, 0.0, 1.0), 3)
+
+
+def _same(values):
+    # bit patterns, so that NaN equals NaN and 0.0 differs from -0.0
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
+
+
+def per_point(check, points):
+    """``check`` at each point in order: the values, or the first error."""
+    try:
+        return _same([check(pt) for pt in points])
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def by_set(reduce):
+    try:
+        values = reduce()
+        return _same(values.tolist() if isinstance(values, np.ndarray) else values)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the metric is singular for t past about 3.1 (the Hessian in t outgrows
+# the one in x), and the cubic tensor overflows before the Hessian does
+# around t = 6.54; with a tiny factor the Hessian scale squares to zero
+REDUCTION_CASES = [
+    (PotentialSpec.create("overflowing", 2, "exp(exp(t)) + x^2"), (2.0, 6.6, -1.0, 1.0)),
+    (PotentialSpec.create("narrow", 2, "exp(exp(t)) + x^2"), (6.5, 6.56, -1.0, 1.0)),
+    (PotentialSpec.create("tiny", 2, "1e-170*(t^2 + x^2 + t^3)"), (-1.0, 1.0, -1.0, 1.0)),
+    (PotentialSpec.create("root", 2, "t^2 + x^2 + sqrt(t*x)^3"), (-1.0, 1.0, -1.0, 1.0)),
+    (NORMAL, (-1.0, 1.0, -2.0, 2.0)),
+    (TRAVELING_WAVE, (-1.0, 1.0, -1.0, 1.0)),
+    (ADDITIVE, (-1.0, 1.0, -1.0, 1.0)),
+]
+
+
+class TestSetReductions:
+    """Each reduction over a set of points, and each per-point function,
+    gives the values of the scalar formulas below point by point, or
+    raises the error the first failing point raises."""
+
+    @pytest.mark.parametrize("spec, box", REDUCTION_CASES)
+    def test_match_the_scalar_formulas(self, spec, box):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            points = rng.uniform(box[::2], box[1::2], size=(60, 2)).tolist()
+            values = evaluate_points(spec, points)
+            expected = per_point(lambda p: scalar_convexity(spec, p), points)
+            assert by_set(values.convexity) == expected
+            assert per_point(lambda p: convexity_check(spec, p), points) == expected
+            for lam in (0.5, math.nan):
+                expected = per_point(lambda p: scalar_pde_residual(spec, lam, p), points)
+                assert by_set(lambda: values.pde_residuals(lam, relative=True)) == expected
+                assert per_point(
+                    lambda p: pde_residual(spec, lam, p, relative=True), points
+                ) == expected
+            expected = per_point(lambda p: scalar_curvature(spec, p)[0], points)
+            assert by_set(lambda: values.curvature()[0]) == expected
+            assert per_point(lambda p: r1212(spec, p), points) == expected
+            for count in (2, 5, 60):
+                assert by_set(
+                    lambda: dataclasses.astuple(lambda_estimate(spec, points[:count]))
+                ) == by_set(lambda: dataclasses.astuple(scalar_lambda_estimate(spec, points[:count])))
+
+    @pytest.mark.parametrize("spec, box", REDUCTION_CASES)
+    def test_relative_determinants_match_each_metric_evaluation(self, spec, box):
+        rng = np.random.default_rng(12)
+        metric = fisher_metric(spec)
+
+        def relative(p):
+            g = metric.evaluate(p)
+            scale = float(np.max(np.abs(g)))
+            return abs(float(np.linalg.det(g))) / scale ** 2 if scale else 0.0
+
+        for _ in range(4):
+            points = rng.uniform(box[::2], box[1::2], size=(60, 2)).tolist()
+            inside = [p for p in points if spec.in_domain(p)]
+            assert by_set(lambda: evaluate_points(spec, inside).relative_determinants()) == (
+                per_point(relative, inside)
+            )
+
+
+# -- the scalar formulas, point by point with Python floats -------------------
+
+def scalar_hessian(spec, point):
+    if not spec.in_domain(point):
+        raise DomainError("point violates the domain constraints", resolved_potential(spec))
+    return _hessian_tape(spec)(spec.bindings(point))
+
+
+def scalar_numerator(spec, point, h2):
+    ptt, ptx, pxx = h2
+    pttt, pttx, ptxx, pxxx = _cubic_tape(spec)(spec.bindings(point))
+    return (
+        ptt * (pttx * pxxx - ptxx * ptxx)
+        - ptx * (pttt * pxxx - pttx * ptxx)
+        + pxx * (pttt * ptxx - pttx * pttx)
+    )
+
+
+def scalar_curvature(spec, point):
+    h2 = scalar_hessian(spec, point)
+    det = h2[0] * h2[2] - h2[1] ** 2
+    scale = max(abs(v) for v in h2)
+    if scale == 0.0 or abs(det) <= SINGULARITY_THRESHOLD * scale ** 2:
+        raise SingularMetricError(f"metric is numerically singular (det={det:.3e})")
+    return scalar_numerator(spec, point, h2) / (4.0 * det), det
+
+
+def scalar_pde_residual(spec, lam, point):
+    h2 = scalar_hessian(spec, point)
+    det = h2[0] * h2[2] - h2[1] ** 2
+    lhs = scalar_numerator(spec, point, h2)
+    rhs = 4.0 * lam * det * det
+    return (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
+def scalar_convexity(spec, point):
+    try:
+        ptt, ptx, pxx = scalar_hessian(spec, point)
+    except ExpressionError:
+        return DOMAIN_ERROR
+    scale = max(abs(ptt), abs(ptx), abs(pxx))
+    if scale == 0.0:
+        return NOT_CONVEX
+    trace = (ptt + pxx) / scale
+    det = (ptt * pxx - ptx * ptx) / (scale * scale)
+    return CONVEX if trace > 1e-12 and det > 1e-12 else NOT_CONVEX
+
+
+def scalar_lambda_estimate(spec, points):
+    values = [curv / det for curv, det in (scalar_curvature(spec, p) for p in points)]
+    if len(values) < 2:
+        raise ValueError("need at least two valid sample points")
+    estimate = math.fsum(values) / len(values)
+    return LambdaEstimate(estimate, max(abs(v - estimate) for v in values), len(values))
+
+
+def test_stacked_det_is_the_det_of_each_matrix():
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((20000, 2, 2)) * 10.0 ** rng.integers(-150, 150, size=(20000, 1, 1))
+    g[:, 1, 0] = g[:, 0, 1]
+    assert _same(np.linalg.det(g).tolist()) == _same([float(np.linalg.det(m)) for m in g])

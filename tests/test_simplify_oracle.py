@@ -16,6 +16,7 @@ import random
 import struct
 import sys
 
+import numpy as np
 import pytest
 
 from einstat import geometry, jets
@@ -417,6 +418,38 @@ class TestRandomTreeWalkers:
             assert _outcome(lambda: tape(bindings)) == _outcome(lambda: [evaluate(e, bindings)])
 
         check()
+
+    def test_column_run_is_bitwise_the_scalar_tape_at_every_row(self):
+        # rows that overflow, take ln of a value <= 0 or sqrt of a negative,
+        # divide by zero, raise a negative base to a non-integral power, or
+        # reach sin(inf); where the scalar tape raises, the row records the
+        # same error class
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        special = st.sampled_from(
+            [0.0, -0.0, -1.0, -2.5, 0.5, 800.0, -800.0, 1e300, -1e300, 5e-324, math.inf, -math.inf]
+        )
+        coordinate = special | st.floats(-3.0, 3.0, allow_nan=False)
+        rows = st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=12)
+        raised = set()
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(_random_trees(st), min_size=1, max_size=3), rows)
+        def check(family, points):
+            tape = compile_family(family)
+            ts, xs = (np.array(column) for column in zip(*points))
+            values, errors = tape.columns({"t": ts, "x": xs})
+            assert values.shape == (len(family), len(points))
+            for row, (t, x) in enumerate(points):
+                expected = _outcome(lambda: tape({"t": t, "x": x}))
+                if row in errors:
+                    assert type(errors[row]) is expected
+                    raised.add(expected)
+                else:
+                    assert _bits(values[:, row].tolist()) == expected
+
+        check()
+        assert DomainError in raised
 
     def test_substitute_removes_the_variable(self):
         hypothesis = pytest.importorskip("hypothesis")

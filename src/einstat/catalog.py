@@ -125,7 +125,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
             ["x^2/t^2", "-(1 - euler_gamma)/t"],
             ["-(1 - euler_gamma)/t", "(euler_gamma^2 - 2*euler_gamma + pi^2/6 + 1)/x^2"],
         ],
-        provenance="direct",
         constraints=["t", "x"],
         name="weibull-metric",
     )

@@ -82,9 +82,12 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise UsageError(f"--box needs t0,t1,x0,x1 (got {text!r})")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        box = tuple(float(p) for p in parts)
     except ValueError:
         raise UsageError(f"--box values must be numbers (got {text!r})") from None
+    if not all(map(math.isfinite, box)):
+        raise UsageError(f"--box values must be finite (got {text!r})")
+    return box  # type: ignore[return-value]
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -310,7 +313,7 @@ def _cmd_symmetry_verify(args) -> int:
     equation, leading = equation_for(args.pde, args.lam if args.lam is not None else 1.0)
     report = lsc_check(
         gen, equation, leading, samples=args.samples, seed=args.seed,
-        tolerance=LSC_TOLERANCES[args.pde], label=args.pde,
+        tolerance=LSC_TOLERANCES[args.pde],
     )
     return _emit(
         args,
@@ -496,7 +499,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: expression is nested too deeply", file=sys.stderr)
         return 2
-    except ExpressionError as exc:  # DomainError, SingularMetricError, SamplingError, ...
+    # DomainError, SingularMetricError, SamplingError, ..., and Python's float
+    # errors (a planar formula's square that underflows, a box too wide to sample)
+    except (ExpressionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

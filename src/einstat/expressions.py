@@ -27,6 +27,7 @@ with one Richardson extrapolation level.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -433,17 +434,68 @@ def _is_integral(value: float) -> bool:
     return abs(value) < 1e15 and value == int(value)
 
 
-def _unless_overflow(e: Expr, a: float, b: float, value: float) -> float:
-    """``value``, the result of ``e``'s operator on ``a`` and ``b``, unless
-    finite operands overflowed: ``inf - inf`` would turn that into a NaN
-    that no check downstream can tell from a computed number."""
-    if math.isfinite(value) or not (math.isfinite(a) and math.isfinite(b)):
+def _tape_pow(base: float, expo: float) -> float:
+    """``base ** expo`` in the real domain: Python gives a complex number
+    for a negative base with a non-integral exponent, and infinity for
+    ``0.0 ** -inf``."""
+    if base < 0.0 and not _is_integral(expo):
+        raise ValueError
+    if base == 0.0 and expo < 0.0:
+        raise ZeroDivisionError
+    return base ** expo
+
+
+#: Instruction per operator, keyed by node type or function name; the tape
+#: runs them, and so do the tree walk and constant folding (:func:`_apply`).
+_TAPE_OPS: dict = {
+    Neg: operator.neg,
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Pow: _tape_pow,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+    "sin": math.sin,
+    "cos": math.cos,
+}
+
+#: :class:`DomainError` message per operator and the exception its
+#: instruction raises.
+_DOMAIN_MESSAGES: dict = {
+    (Div, ZeroDivisionError): "division by zero",
+    (Pow, ZeroDivisionError): "zero raised to a negative power",
+    (Pow, ValueError): "negative base with non-integer exponent",
+    (Pow, OverflowError): "overflow",
+    ("exp", OverflowError): "overflow in exp",
+    ("ln", ValueError): "ln of non-positive value",
+    ("sqrt", ValueError): "sqrt of negative value",
+    ("sin", ValueError): "sin of infinite value",
+    ("cos", ValueError): "cos of infinite value",
+}
+
+
+def _apply(e: Expr, operands: Sequence[float]) -> float:
+    """``e``'s instruction at its operands' values.  An exception it
+    raises is the :class:`DomainError` of ``_DOMAIN_MESSAGES``, and a
+    non-finite value of finite operands an overflow: ``inf - inf`` would
+    make it a NaN that no check downstream can tell from a computed one."""
+    op = e.func if isinstance(e, Call) else type(e)
+    fn = _TAPE_OPS.get(op)
+    if fn is None:
+        raise UnknownFunctionError(f"unknown function '{op}'", 0)
+    try:
+        value = fn(*operands)
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(_DOMAIN_MESSAGES[op, type(exc)], e) from None
+    if math.isfinite(value) or not all(map(math.isfinite, operands)):
         return value
     raise DomainError("overflow", e)
 
 
 def evaluate(e: Expr, bindings: Bindings) -> float:
-    """Evaluate to an IEEE double.
+    """Evaluate to an IEEE double, operands left to right.
 
     Every free variable must be bound (:class:`UnboundVariableError`
     otherwise).  Arguments outside a function's real domain, division by
@@ -462,77 +514,15 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
             return CONSTANTS[e.name]
         except KeyError:
             raise UnknownConstantError(f"unknown named constant '{e.name}'") from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, bindings)
-    if isinstance(e, (Add, Sub, Mul)):
-        a, b = evaluate(e.left, bindings), evaluate(e.right, bindings)
-        return _unless_overflow(e, a, b, _TAPE_OPS[type(e)](a, b))
-    if isinstance(e, Div):
-        denom = evaluate(e.right, bindings)
-        if denom == 0.0:
-            raise DomainError("division by zero", e)
-        numer = evaluate(e.left, bindings)
-        return _unless_overflow(e, numer, denom, numer / denom)
-    if isinstance(e, Pow):
-        base = evaluate(e.base, bindings)
-        expo = evaluate(e.exponent, bindings)
-        if base == 0.0 and expo < 0.0:
-            raise DomainError("zero raised to a negative power", e)
-        if base < 0.0 and not _is_integral(expo):
-            raise DomainError("negative base with non-integer exponent", e)
-        try:
-            return float(base ** expo)
-        except OverflowError:
-            raise DomainError("overflow", e) from None
-    if isinstance(e, Call):
-        value = evaluate(e.arg, bindings)
-        if e.func == "exp":
-            try:
-                return math.exp(value)
-            except OverflowError:
-                raise DomainError("overflow in exp", e) from None
-        if e.func == "ln":
-            if value <= 0.0:
-                raise DomainError("ln of non-positive value", e)
-            return math.log(value)
-        if e.func == "sqrt":
-            if value < 0.0:
-                raise DomainError("sqrt of negative value", e)
-            return math.sqrt(value)
-        if e.func in ("sin", "cos"):
-            if math.isinf(value):
-                raise DomainError(f"{e.func} of infinite value", e)
-            return math.sin(value) if e.func == "sin" else math.cos(value)
-        raise UnknownFunctionError(f"unknown function '{e.func}'", 0)
-    raise TypeError(f"not an expression: {e!r}")
+    # map, not a comprehension: one frame of recursion per level of the tree
+    return _apply(e, [*map(evaluate, _operands(e), itertools.repeat(bindings))])
 
 
 # -- compiled evaluation -----------------------------------------------------
 
-def _tape_pow(base: float, expo: float) -> float:
-    if base < 0.0 and not _is_integral(expo):
-        raise ValueError("negative base with non-integer exponent")
-    return base ** expo
-
-
-#: Instruction per operator, keyed by node type or function name.
-_TAPE_OPS: dict = {
-    Neg: operator.neg,
-    Add: operator.add,
-    Sub: operator.sub,
-    Mul: operator.mul,
-    Div: operator.truediv,
-    Pow: _tape_pow,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-}
-
-
-class _Untapeable(Exception):
-    """A node the tape has no instruction for; the tree walk handles it."""
+def _undefined(*operands: float) -> float:
+    """The instruction of a name the grammar lacks: the walk reports it."""
+    raise LookupError
 
 
 def _post_order(roots: Iterable[Expr], visit: Callable[[Expr, list], object]) -> list:
@@ -570,21 +560,17 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
     The returned callable maps bindings to the same floats, bit for bit, as
     ``tuple(evaluate(e, bindings) for e in exprs)``: every distinct
     subexpression gets one slot and is computed once, in dependency order,
-    with the operations :func:`evaluate` uses.  When an instruction raises,
-    a guard trips (a negative base with a non-integral exponent), or any
-    slot ends non-finite (which is where :func:`evaluate` may have raised
-    on an overflow), the call re-runs :func:`evaluate`, so every error and
-    the subtree it carries are the tree walk's own.
+    with the instructions :func:`evaluate` runs.  When an instruction
+    raises (a function or constant the grammar does not name always does)
+    or any slot ends non-finite (which is where :func:`evaluate` may have
+    raised on an overflow), the call re-runs :func:`evaluate`, so every
+    error and the subtree it carries are the tree walk's own.
 
     Its ``columns`` attribute evaluates the family over a whole set of
     points (see :func:`_column_run`); nothing is built for that until it
     is called.
     """
     exprs = tuple(exprs)
-
-    def walk(bindings: Bindings) -> tuple[float, ...]:
-        return tuple(evaluate(e, bindings) for e in exprs)
-
     # slots in dependency order, one per structural key, so equal subtrees
     # that are distinct objects share one
     slots: dict[tuple, int] = {}
@@ -598,28 +584,23 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
             key, value = (Num, struct.pack("<d", node.value)), node.value
         elif isinstance(node, Var):
             key = (Var, node.name)
-        elif isinstance(node, Const) and node.name in CONSTANTS:
-            key, value = (Const, node.name), CONSTANTS[node.name]
+        elif isinstance(node, Const):
+            key, value = (Const, node.name), CONSTANTS.get(node.name)
         else:
             key = (node.func if isinstance(node, Call) else type(node), *operands)
-            if key[0] not in _TAPE_OPS:
-                raise _Untapeable
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(template)
             template.append(value)
             if isinstance(node, Var):
                 names.append((slot, node.name))
-            elif operands:
+            elif value is None:  # an operator, or a constant the grammar lacks
                 second = operands[1] if len(operands) > 1 else -1
-                tape.append((slot, _TAPE_OPS[key[0]], operands[0], second))
+                fn = _TAPE_OPS.get(key[0], _undefined)
+                tape.append((slot, fn, operands[0] if operands else slot, second))
         return slot
 
-    try:
-        roots = _post_order(exprs, number)
-    except _Untapeable:
-        walk.columns = functools.partial(_column_run, exprs, None)
-        return walk
+    roots = _post_order(exprs, number)
     tape = tuple(tape)
 
     def run(bindings: Bindings) -> tuple[float, ...]:
@@ -629,13 +610,13 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
                 values[slot] = float(bindings[name])
             for slot, fn, a, b in tape:
                 values[slot] = fn(values[a]) if b < 0 else fn(values[a], values[b])
+            # the sum is finite only when every slot is; a walk that raises
+            # no overflow returns these same values
+            if math.isfinite(sum(values)):
+                return tuple([values[r] for r in roots])
         except Exception:
-            return walk(bindings)
-        # the sum is finite only when every slot is; a walk that raises no
-        # overflow returns these same values
-        if not math.isfinite(sum(values)):
-            return walk(bindings)
-        return tuple([values[r] for r in roots])
+            pass
+        return tuple(evaluate(e, bindings) for e in exprs)
 
     # a partial of a module function: the tape holds no reference to itself,
     # so it is freed as soon as it is dropped
@@ -671,53 +652,48 @@ def _elementwise(fn: Callable, *args: list) -> list:
 
 
 def _column_run(
-    exprs: tuple[Expr, ...], program: tuple | None, columns: Mapping[str, np.ndarray]
+    exprs: tuple[Expr, ...], program: tuple, columns: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, dict[int, ExpressionError]]:
     """The values of ``exprs`` at every row of ``columns`` (one array per
     variable, all of one length), as a ``(len(exprs), rows)`` array, and
     the :class:`ExpressionError` of each row where :func:`evaluate` raises.
 
     ``program`` is the family's tape as ``(template, names, instructions,
-    roots)``, or None for a family without one.  Each
-    instruction runs once over the whole column: as a numpy ufunc where
-    numpy computes the same IEEE operation, or element by element through
-    the scalar instruction.  Every row where a slot ends non-finite or a
-    scalar instruction raises (NaN there), where the scalar loop falls back
-    to the tree walk, is evaluated by the walk, and so is every row of a
-    family without a tape; so each value and each error is the scalar
-    loop's own.  A failed row holds NaN.
+    roots)``.  Each instruction runs once over the whole column: as a numpy
+    ufunc where numpy computes the same IEEE operation, or element by
+    element through the scalar instruction.  Every row where a slot ends
+    non-finite or a scalar instruction raises (NaN there), where the scalar
+    loop falls back to the tree walk, is evaluated by the walk; so each
+    value and each error is the scalar loop's own.  A failed row holds NaN.
     """
+    template, names, tape, roots = program
     rows = len(next(iter(columns.values()), ()))
     redo = range(rows)
-    if program is None:
-        out = np.empty((len(exprs), rows))
+    values = np.empty((len(template), rows))
+    slot_values = list(values)
+    try:
+        for slot, name in names:
+            slot_values[slot][:] = columns[name]
+    except KeyError:  # an unbound name: let each row raise it
+        pass
     else:
-        template, names, tape, roots = program
-        values = np.empty((len(template), rows))
-        slot_values = list(values)
-        try:
-            for slot, name in names:
-                slot_values[slot][:] = columns[name]
-        except KeyError:  # an unbound name: let each row raise it
-            pass
-        else:
-            for slot, value in enumerate(template):
-                if value is not None:
-                    slot_values[slot][:] = value
-            with np.errstate(all="ignore"):
-                for slot, fn, a, b in tape:
-                    ufunc = _COLUMN_UFUNCS.get(fn)
-                    if ufunc is None:
-                        args = [slot_values[a].tolist()]
-                        if b >= 0:
-                            args.append(slot_values[b].tolist())
-                        slot_values[slot][:] = _elementwise(fn, *args)
-                    elif b < 0:
-                        ufunc(slot_values[a], out=slot_values[slot])
-                    else:
-                        ufunc(slot_values[a], slot_values[b], out=slot_values[slot])
-                redo = np.flatnonzero(~np.isfinite(values.sum(axis=0))).tolist()
-        out = values[list(roots)]
+        for slot, value in enumerate(template):
+            if value is not None:
+                slot_values[slot][:] = value
+        with np.errstate(all="ignore"):
+            for slot, fn, a, b in tape:
+                ufunc = _COLUMN_UFUNCS.get(fn)
+                if ufunc is None:
+                    args = [slot_values[a].tolist()]
+                    if b >= 0:
+                        args.append(slot_values[b].tolist())
+                    slot_values[slot][:] = _elementwise(fn, *args)
+                elif b < 0:
+                    ufunc(slot_values[a], out=slot_values[slot])
+                else:
+                    ufunc(slot_values[a], slot_values[b], out=slot_values[slot])
+            redo = np.flatnonzero(~np.isfinite(values.sum(axis=0))).tolist()
+    out = values[list(roots)]
     listed = {name: np.asarray(column).tolist() for name, column in columns.items()}
     errors: dict[int, ExpressionError] = {}
     redone = []
@@ -767,7 +743,7 @@ def _fold(e: Expr) -> Expr:
     """``e``, whose operands are numbers, as a number unless it cannot be
     evaluated."""
     try:
-        return Num(evaluate(e, {}))
+        return Num(_apply(e, [o.value for o in _operands(e)]))
     except ExpressionError:
         return e
 

@@ -215,7 +215,6 @@ class MetricField:
     """Symmetric matrix of expressions in ``theta1..thetaN``."""
 
     entries: tuple[tuple[Expr, ...], ...]
-    provenance: str = "direct"
     constraints: tuple[Expr, ...] = ()
     name: str = ""
 
@@ -230,7 +229,6 @@ class MetricField:
     def create(
         cls,
         entries: Sequence[Sequence[Union[str, Expr]]],
-        provenance: str = "direct",
         constraints: Sequence[Union[str, Expr]] = (),
         name: str = "",
     ) -> "MetricField":
@@ -248,7 +246,7 @@ class MetricField:
         # simplified here, the entries' derivatives are simplified as built
         simplified = tuple(tuple(map(simplify, row)) for row in parsed)
         constraint_exprs = tuple(_normalize_aliases(_as_expr(c), n) for c in constraints)
-        return cls(simplified, provenance, constraint_exprs, name)
+        return cls(simplified, constraint_exprs, name)
 
     @property
     def dimension(self) -> int:
@@ -322,7 +320,7 @@ def fisher_metric(spec: PotentialSpec) -> MetricField:
     entries = tuple(
         tuple(upper[(min(i, j), max(i, j))] for j in range(n)) for i in range(n)
     )
-    return MetricField(entries, "from-potential", resolved_constraints(spec), spec.name)
+    return MetricField(entries, resolved_constraints(spec), spec.name)
 
 
 @lru_cache(maxsize=None)

@@ -260,7 +260,6 @@ def prolonged_action_terms(gen: GeneratorField, equation: Expr) -> list[tuple[Ex
 @dataclass
 class LscReport:
     generator: str
-    equation: str
     samples: int
     max_residual: float
     tolerance: float
@@ -309,7 +308,6 @@ def lsc_check(
     samples: int = 200,
     seed: int = 42,
     tolerance: float = 1e-7,
-    label: str = "",
 ) -> LscReport:
     """On-shell check that ``pr X(F)`` vanishes on solutions of ``F = 0``.
 
@@ -356,7 +354,7 @@ def lsc_check(
         bindings[leading] = -b0 / a
         residuals.append(_relative_action(terms_tape(bindings)))
     worst = worst_residual(residuals)
-    return LscReport(gen.name, label, samples, worst, tolerance, worst < tolerance)
+    return LscReport(gen.name, samples, worst, tolerance, worst < tolerance)
 
 
 def prolonged_action_value(

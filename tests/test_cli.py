@@ -403,6 +403,29 @@ def test_error_reaches_main_as_its_exit_code(capsys, argv, code):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # ZeroDivisionError: the convexity test's scale squared underflows to 0
+        (["convexity", "--expr", "1e-170*(t^2+x^2)", "--box", "-1,1,-1,1", "--grid", "3,3"], 3),
+        # OverflowError: the sampler's box is wider than the largest double
+        (["check", "--expr", "t^2+x^2", "--lambda", "0", "--box", "-1e308,1e308,-1,1"], 3),
+        (["check", "--expr", "t^2+x^2", "--lambda", "0", "--box", "nan,1,-1,1"], 2),
+        (["convexity", "--expr", "t^2+x^2", "--box", "nan,1,-1,1"], 2),
+        (["curvature", "--expr", "t^2+x^2", "--box", "-1,1,-1,inf"], 2),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_float_error_or_non_finite_box_is_one_error_line(capsys, argv, code):
+    # a float error is an evaluation error (3), not a FAIL verdict (1) with
+    # a traceback; a box with a non-finite side is a usage error (2), not a
+    # report over a box of nulls
+    actual, out, err = run(capsys, *argv)
+    assert actual == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parser_is_built_once_per_process_and_not_at_import():
     script = textwrap.dedent(
         """

@@ -9,6 +9,7 @@ from einstat.expressions import (
     Add,
     Call,
     Const,
+    Div,
     DomainError,
     Mul,
     Neg,
@@ -21,6 +22,7 @@ from einstat.expressions import (
     UnknownConstantError,
     UnknownFunctionError,
     Var,
+    _DOMAIN_MESSAGES,
     _TAPE_OPS,
     _equal,
     compile_family,
@@ -492,6 +494,90 @@ class TestCompiledFamily:
         for k in range(5000):
             deep = Add(deep, Num(float(k)))
         assert compile_family([deep])({}) == (float(sum(range(5000))),)
+
+
+#: One constant node and its message per entry of the message table.
+TABLE_CASES = {
+    (Div, ZeroDivisionError): (Div(Num(1.0), Num(0.0)), "division by zero"),
+    (Pow, ZeroDivisionError): (Pow(Num(0.0), Num(-1.0)), "zero raised to a negative power"),
+    (Pow, ValueError): (Pow(Num(-8.0), Num(1.0 / 3.0)), "negative base with non-integer exponent"),
+    (Pow, OverflowError): (Pow(Num(10.0), Num(400.0)), "overflow"),
+    ("exp", OverflowError): (Call("exp", Num(1000.0)), "overflow in exp"),
+    ("ln", ValueError): (Call("ln", Num(0.0)), "ln of non-positive value"),
+    ("sqrt", ValueError): (Call("sqrt", Num(-1.0)), "sqrt of negative value"),
+    ("sin", ValueError): (Call("sin", Num(math.inf)), "sin of infinite value"),
+    ("cos", ValueError): (Call("cos", Num(-math.inf)), "cos of infinite value"),
+}
+
+
+def _errors(family, node):
+    """The errors of ``node`` in the tree walk, the scalar tape of
+    ``family`` and each row of its column run, all at ``x = 1``."""
+    tape = compile_family(family)
+    raised = []
+    for run in (lambda: evaluate(node, {"x": 1.0}), lambda: tape({"x": 1.0})):
+        with pytest.raises(ExpressionError) as err:
+            run()
+        raised.append(err.value)
+    values, errors = tape.columns({"x": np.array([1.0, 1.0])})
+    assert np.isnan(values).all()
+    return raised + [errors[0], errors[1]]
+
+
+class TestOperatorTable:
+    """Each operator has one instruction and one set of messages: the tree
+    walk, the scalar tape, the column run and constant folding agree."""
+
+    def test_each_message_has_a_case(self):
+        assert {key: message for key, (_, message) in TABLE_CASES.items()} == _DOMAIN_MESSAGES
+
+    @pytest.mark.parametrize(
+        "node, message",
+        list(TABLE_CASES.values())
+        + [
+            # finite operands that overflow
+            (Add(Num(1e308), Num(1e308)), "overflow"),
+            (Sub(Num(-1e308), Num(1e308)), "overflow"),
+            (Mul(Num(1e308), Num(10.0)), "overflow"),
+            (Div(Num(1e308), Num(1e-10)), "overflow"),
+            # Python gives 0.0 ** -inf as inf
+            (Pow(Num(0.0), Num(-math.inf)), "zero raised to a negative power"),
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_error_and_folding_agree(self, node, message):
+        for error in _errors([Var("x"), node], node):
+            assert type(error) is DomainError
+            assert str(error) == f"{message} in '{to_text(node)}'"
+            assert error.subtree == node
+        assert simplify(node) == node  # left unfolded
+
+    @pytest.mark.parametrize(
+        "node, error_type",
+        [(Const("nope"), UnknownConstantError), (Call("tan", Var("x")), UnknownFunctionError)],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_unknown_name_falls_back_to_the_walk(self, node, error_type):
+        for family in ([node, Var("x")], [Var("x"), Mul(node, Var("x"))]):
+            errors = _errors(family, node)
+            assert {type(error) for error in errors} == {error_type}
+            assert len({str(error) for error in errors}) == 1
+        assert simplify(Call("tan", Num(1.0))) == Call("tan", Num(1.0))
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            # the numerator's error, not "division by zero"
+            Div(Call("ln", Num(-1.0)), Num(0.0)),
+            Div(Call("ln", Num(-1.0)), Call("sqrt", Num(-1.0))),
+            Pow(Call("ln", Num(-1.0)), Call("sqrt", Num(-1.0))),
+        ],
+        ids=str,
+    )
+    def test_operands_evaluate_left_to_right(self, node):
+        for error in _errors([Var("x"), node], node):
+            assert str(error) == "ln of non-positive value in 'ln(-1)'"
+            assert error.subtree == Call("ln", Num(-1.0))
 
 
 class TestWorstResidual:

@@ -46,7 +46,6 @@ WEIBULL_ENTRIES = (
 
 WEIBULL = MetricField.create(
     WEIBULL_ENTRIES,
-    provenance="direct",
     constraints=["t", "x"],
     name="weibull-metric",
 )

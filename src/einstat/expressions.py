@@ -703,6 +703,10 @@ def _column_run(
             redone.append([evaluate(e, bindings) for e in exprs])
         except ExpressionError as exc:
             redone.append((math.nan,) * len(exprs))
+            # kept without traceback and context: both reach this frame, and
+            # so this map, a cycle that would hold the columns until the
+            # collector's oldest generation runs
+            exc.__traceback__ = exc.__context__ = None
             errors[row] = exc
     if redone:
         out[:, redo] = np.array(redone).reshape(len(redone), len(exprs)).T

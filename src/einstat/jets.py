@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -282,23 +282,109 @@ _LEADING_FLOOR = 1e-3
 _RESAMPLE_LIMIT = 64
 
 
-def _sample_bindings(rng, names: Sequence[str]) -> dict[str, float]:
-    # one vector draw takes the same doubles from the stream as one scalar
-    # draw per name, in order
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+#: numpy's ``SeedSequence`` hash constants and the ``PCG64`` multiplier
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as numpy's ``SeedSequence`` reads an integer: its 32-bit words,
+    least significant first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_states(seed: int, indices: np.ndarray) -> list[tuple[int, int]]:
+    """The ``PCG64`` ``(state, inc)`` of ``np.random.default_rng([seed, i])``
+    for every ``i`` of ``indices`` (each below 2**32), derived at once.
+
+    This is numpy's ``SeedSequence`` pool hashing, over a uint32 column per
+    pool word, then ``pcg64_set_seed`` on each ``generate_state(4, uint64)``.
+    """
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> np.uint32(16)
+
+    entropy = [np.uint32(word) for word in _uint32_words(seed)]
+    entropy.append(np.asarray(indices, dtype=np.uint32))
+    pool_size = 4  # numpy's default
+    with np.errstate(over="ignore"):
+        padded = entropy + [np.uint32(0)] * (pool_size - len(entropy))
+        pool = [hashmix(word) for word in padded[:pool_size]]
+        for src in range(pool_size):
+            for dst in range(pool_size):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[pool_size:]:
+            for dst in range(pool_size):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const = _HASH_INIT_B
+        state = []
+        for k in range(8):
+            value = pool[k % pool_size] ^ np.uint32(hash_const)
+            hash_const = hash_const * _HASH_MULT_B & _MASK32
+            value = value * np.uint32(hash_const)
+            state.append(value ^ value >> np.uint32(16))
+    # little-endian pairs of words make the four uint64 of the state
+    words = [column.astype(np.uint64) for column in state]
+    seeds = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    out = []
+    for s0, s1, i0, i1 in zip(*seeds):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        # from state 0: step (to inc), add the seed, step
+        out.append((((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def _stream_draws(seed: int, indices: np.ndarray, count: int) -> np.ndarray:
+    """``np.random.default_rng([seed, i]).uniform(-2.0, 2.0, count)`` for
+    every ``i`` of ``indices``, one row each: numpy's own draws from states
+    derived at once (:func:`_stream_states`)."""
     low, high = _SAMPLE_RANGE
-    return dict(zip(names, rng.uniform(low, high, len(names)).tolist()))
+    bitgen = np.random.PCG64(0)  # each row sets its whole state
+    generator = np.random.Generator(bitgen)
+    out = np.empty((len(indices), count))
+    for row, (state, inc) in enumerate(_stream_states(seed, indices)):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out[row] = generator.uniform(low, high, count)
+    return out
 
 
-def _relative_action(values: Sequence[float]) -> float:
-    """``|sum c*p| / max(1, sum |c*p|)`` over the flattened pairs ``c, p``,
-    summed in pair order."""
-    total = 0.0
-    magnitude = 0.0
-    for coeff, partial in zip(values[::2], values[1::2]):
-        product = coeff * partial
-        total += product
-        magnitude += abs(product)
-    return abs(total) / max(1.0, magnitude)
+def _relative_actions(values: np.ndarray) -> np.ndarray:
+    """``|sum c*p| / max(1, sum |c*p|)`` at every column, over the row pairs
+    ``c, p``, summed in pair order."""
+    total = np.zeros(values.shape[1])
+    magnitude = np.zeros(values.shape[1])
+    with np.errstate(all="ignore"):
+        for coeff, partial in zip(values[::2], values[1::2]):
+            product = coeff * partial
+            total += product
+            magnitude += np.abs(product)
+        # fmax, as Python's max(1.0, nan) is 1.0
+        return np.abs(total) / np.fmax(1.0, magnitude)
 
 
 def lsc_check(
@@ -314,8 +400,11 @@ def lsc_check(
     ``F`` must be affine in the leading coordinate; each sample solves for
     it, substitutes, and evaluates the prolonged action.  Residuals are
     reported relative to ``max(1, sum of |term|)`` so cancellation depth
-    is what is measured.  Samples whose leading coefficient is smaller
-    than ``1e-3`` are redrawn from the same per-sample stream.
+    is what is measured.  Sample ``i`` draws its jet point from
+    ``np.random.default_rng([seed, i])``, and a sample whose leading
+    coefficient is smaller than ``1e-3`` is redrawn from the same stream.
+    Every sample is evaluated at once, one column run per tape; the error
+    raised is that of the first failing sample.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer (got {samples})")
@@ -325,10 +414,11 @@ def lsc_check(
     coeff_expr = differentiate(equation, leading)
     second = differentiate(coeff_expr, leading)
     names = jet_variables(MAX_JET_ORDER)
-    probe_rng = np.random.default_rng([seed, 0xAFF1])
-    for _ in range(8):
-        b = _sample_bindings(probe_rng, names)
-        if abs(evaluate(second, b)) > 1e-9:
+    width = len(names)
+    # eight points of one more stream, [seed, 0xAFF1], probe that F is affine
+    probe = _stream_draws(seed, np.array([0xAFF1]), 8 * width)
+    for point in probe.reshape(8, width).tolist():
+        if abs(evaluate(second, dict(zip(names, point)))) > 1e-9:
             raise UnsupportedEquationError(
                 f"equation is not affine in leading coordinate '{leading}'"
             )
@@ -338,22 +428,38 @@ def lsc_check(
     base_tape = compile_family([base])
     terms_tape = compile_family([e for pair in terms for e in pair])
 
-    residuals = []
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        for _ in range(_RESAMPLE_LIMIT):
-            bindings = _sample_bindings(rng, names)
-            (a,) = leading_tape(bindings)
-            if abs(a) >= _LEADING_FLOOR:
-                break
-        else:
-            raise UnsupportedEquationError(
-                f"leading coefficient stayed below {_LEADING_FLOOR} while resampling"
-            )
-        (b0,) = base_tape(bindings)
-        bindings[leading] = -b0 / a
-        residuals.append(_relative_action(terms_tape(bindings)))
-    worst = worst_residual(residuals)
+    draws = np.empty((samples, width))
+    a = np.empty(samples)
+    failures: dict[int, ExpressionError] = {}  # leading coefficient errors and exhaustion
+    pending = np.arange(samples)
+    for depth in range(_RESAMPLE_LIMIT):
+        # draw number depth of each stream still pending: the last of depth + 1
+        draws[pending] = _stream_draws(seed, pending, width * (depth + 1))[:, -width:]
+        values, errors = leading_tape.columns(dict(zip(names, draws[pending].T)))
+        a[pending] = values[0]
+        failures.update((int(pending[j]), exc) for j, exc in errors.items())
+        redraw = ~(np.abs(values[0]) >= _LEADING_FLOOR)
+        redraw[list(errors)] = False
+        pending = pending[redraw]
+        if not pending.size:
+            break
+    for row in pending.tolist():
+        failures[row] = UnsupportedEquationError(
+            f"leading coefficient stayed below {_LEADING_FLOOR} while resampling"
+        )
+    # samples past the first failed one are never reached
+    first = min(failures, default=samples)
+    columns = dict(zip(names, draws[:first].T))
+    (b0,), base_errors = base_tape.columns(columns)
+    with np.errstate(all="ignore"):
+        columns[leading] = -b0 / a[:first]
+    values, term_errors = terms_tape.columns(columns)
+    errors = {**term_errors, **base_errors}  # at one sample, base comes first
+    if errors:
+        raise errors[min(errors)]
+    if failures:
+        raise failures[first]
+    worst = worst_residual(_relative_actions(values).tolist())
     return LscReport(gen.name, samples, worst, tolerance, worst < tolerance)
 
 
@@ -376,8 +482,10 @@ def invariance_check(
 ) -> InvarianceReport:
     """Check ``X(f) = 0`` for a function of (t, x, u) at random points.
 
-    Domain failures (for instance square roots of negative samples) are
-    skipped and counted rather than raised.
+    Sample ``i`` is drawn from ``np.random.default_rng([seed, i])``, and
+    every sample is evaluated in one column run.  Domain failures (for
+    instance square roots of negative samples) are skipped and counted
+    rather than raised.
     """
     extra = free_variables(function) - {"t", "x", "u"}
     if extra:
@@ -390,21 +498,14 @@ def invariance_check(
             gen.eta, differentiate(function, "u"),
         ]
     )
-    residuals = []
-    skipped = 0
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        bindings = _sample_bindings(rng, ["t", "x", "u"])
-        try:
-            values = tape(bindings)
-        except ExpressionError:
-            skipped += 1
-            continue
-        residuals.append(_relative_action(values))
+    names = ("t", "x", "u")
+    draws = _stream_draws(seed, np.arange(samples), len(names))
+    values, errors = tape.columns(dict(zip(names, draws.T)))
+    residuals = np.delete(_relative_actions(values), list(errors)).tolist()
     evaluated = len(residuals)
     worst = worst_residual(residuals)
     passed = evaluated > 0 and worst < tolerance
-    return InvarianceReport(gen.name, samples, evaluated, skipped, worst, tolerance, passed)
+    return InvarianceReport(gen.name, samples, evaluated, len(errors), worst, tolerance, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,16 @@ class PointValues:
         an all-zero Hessian is not convex."""
         ptt, ptx, pxx = self.hessian
         scale = self._scale()
+        square = scale * scale
         trace = (ptt + pxx) / scale
-        det = (ptt * pxx - ptx * ptx) / (scale * scale)
-        _raise_first(_first((scale != 0.0) & (scale * scale == 0.0), _division_by_zero))
+        det = (ptt * pxx - ptx * ptx) / square
+        # where the scale squared under- or overflows, normalize the entries first
+        normal = (square >= np.finfo(float).smallest_normal) & (square < math.inf)
+        rescale = (scale > 0.0) & ~normal
+        if np.any(rescale):
+            ntt, ntx, nxx = self.hessian / scale
+            trace = np.where(rescale, ntt + nxx, trace)
+            det = np.where(rescale, ntt * nxx - ntx * ntx, det)
         convex = ((trace > CONVEXITY_MARGIN) & (det > CONVEXITY_MARGIN)).tolist()
         return [
             DOMAIN_ERROR if row in self.failed else CONVEX if ok else NOT_CONVEX

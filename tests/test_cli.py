@@ -294,6 +294,19 @@ class TestSymmetryCommand:
         assert err == "error: sqrt of negative value in 'sqrt(u)'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symmetry", "verify", "--pde", "heat", "--gen", "H1"],
+        ["invariant", "check", "--gen", "H4", "--expr", "x/sqrt(t)"],
+    ],
+    ids=" ".join,
+)
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
+
+
 class TestInvariantCommand:
     def test_similarity_invariant_passes(self, capsys):
         code, out, _ = run(
@@ -406,8 +419,6 @@ def test_error_reaches_main_as_its_exit_code(capsys, argv, code):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        # ZeroDivisionError: the convexity test's scale squared underflows to 0
-        (["convexity", "--expr", "1e-170*(t^2+x^2)", "--box", "-1,1,-1,1", "--grid", "3,3"], 3),
         # OverflowError: the sampler's box is wider than the largest double
         (["check", "--expr", "t^2+x^2", "--lambda", "0", "--box", "-1e308,1e308,-1,1"], 3),
         (["check", "--expr", "t^2+x^2", "--lambda", "0", "--box", "nan,1,-1,1"], 2),
@@ -424,6 +435,17 @@ def test_float_error_or_non_finite_box_is_one_error_line(capsys, argv, code):
     assert actual == code
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("factor", ["1e-170", "1e170"])
+def test_convexity_of_a_tiny_or_huge_hessian(capsys, factor):
+    # the scale squared underflows to 0 or overflows to inf; the potential is
+    # convex everywhere
+    code, out, err = run(
+        capsys, "convexity", "--expr", f"{factor}*(t^2+x^2)", "--box", "-1,1,-1,1", "--grid", "3,3"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"][0]["counts"] == {"convex": 9, "not-convex": 0, "domain-error": 0}
 
 
 def test_parser_is_built_once_per_process_and_not_at_import():

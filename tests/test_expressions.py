@@ -1,3 +1,4 @@
+import gc
 import math
 import struct
 
@@ -466,6 +467,23 @@ class TestCompiledFamily:
         values, errors = compile_family(family).columns({"x": np.array([1.0, 2.0])})
         assert [type(errors[row]) for row in (0, 1)] == [UnknownConstantError] * 2
         assert np.isnan(values).all()
+
+    def test_column_errors_hold_no_reference_cycle(self):
+        # an error that kept its traceback would reach the column run's frame
+        # and its columns, which only a full collection would then free
+        tape = compile_family([parse("sqrt(t) + ln(x)")])
+        gc.collect()
+        gc.disable()
+        try:
+            _, errors = tape.columns({"t": np.array([-1.0, 1.0, 4.0]), "x": np.array([1.0, 1.0, -1.0])})
+            assert [str(errors[row]) for row in (0, 2)] == [
+                "sqrt of negative value in 'sqrt(t)'",
+                "ln of non-positive value in 'ln(x)'",
+            ]
+            del errors
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_signed_zeros_survive(self):
         # Num(0.0) == Num(-0.0), so the tape keys numbers by bit pattern

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from einstat.expressions import Num, Var, evaluate, parse
+from einstat.expressions import (
+    ExpressionError,
+    Num,
+    Var,
+    compile_family,
+    differentiate,
+    evaluate,
+    parse,
+    simplify,
+    substitute,
+    worst_residual,
+)
 from einstat.jets import (
     CURVATURE_GENERATORS,
     HEAT_GENERATORS,
@@ -21,10 +32,16 @@ from einstat.jets import (
     parse_generator,
     parse_jet_name,
     prolong,
+    prolonged_action_terms,
     prolonged_action_value,
     total_derivative,
 )
-from einstat.jets import _sample_bindings
+from einstat.jets import (
+    MAX_JET_ORDER,
+    InvarianceReport,
+    LscReport,
+    _stream_draws,
+)
 
 
 def jet_point(seed, order=4):
@@ -220,14 +237,233 @@ class TestLscCurvatureEquation:
         assert report.passed
 
 
-class TestSampleBindings:
-    @pytest.mark.parametrize("names", [jet_variables(4), ["t", "x", "u"]], ids=len)
-    def test_one_call_draw_equals_scalar_stream(self, names):
-        for i in range(50):
-            vector, scalar = np.random.default_rng([42, i]), np.random.default_rng([42, i])
-            for _ in range(3):
-                expected = {name: float(scalar.uniform(-2.0, 2.0)) for name in names}
-                assert _sample_bindings(vector, names) == expected
+class TestStreamDraws:
+    SEEDS = [0, 1, 42, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5]
+
+    @pytest.mark.parametrize("seed", SEEDS + np.random.default_rng(5).integers(0, 2**63, 30).tolist())
+    def test_rows_are_the_per_sample_generators_doubles(self, seed):
+        # k = 64 is the deepest redraw; 2**96 + 5 has more words than the pool
+        for k in sorted({1, 2, 1 + seed % 64, 64}):
+            draws = _stream_draws(seed, np.arange(300), 17 * k)
+            for i, row in enumerate(draws):
+                expected = np.random.default_rng([seed, i]).uniform(-2.0, 2.0, 17 * k)
+                assert row.tobytes() == expected.tobytes(), (seed, i, k)
+
+    def test_any_index_subset(self):
+        indices = np.array([7, 3, 299, 0, 2**32 - 1])
+        for row, i in zip(_stream_draws(42, indices, 3), indices.tolist()):
+            assert row.tobytes() == np.random.default_rng([42, i]).uniform(-2, 2, 3).tobytes()
+
+    def test_negative_seed_is_numpys_error(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            _stream_draws(-1, np.arange(3), 3)
+
+
+# The per-sample loops the column runs replaced, kept as the reference: one
+# generator and three scalar tape runs per sample.
+
+def _reference_bindings(rng, names):
+    return dict(zip(names, rng.uniform(-2.0, 2.0, len(names)).tolist()))
+
+
+def _reference_relative_action(values):
+    total = 0.0
+    magnitude = 0.0
+    for coeff, partial in zip(values[::2], values[1::2]):
+        product = coeff * partial
+        total += product
+        magnitude += abs(product)
+    return abs(total) / max(1.0, magnitude)
+
+
+def reference_lsc_check(gen, equation, leading, samples=200, seed=42, tolerance=1e-7):
+    equation = simplify(equation)
+    coeff_expr = differentiate(equation, leading)
+    second = differentiate(coeff_expr, leading)
+    names = jet_variables(MAX_JET_ORDER)
+    probe_rng = np.random.default_rng([seed, 0xAFF1])
+    for _ in range(8):
+        if abs(evaluate(second, _reference_bindings(probe_rng, names))) > 1e-9:
+            raise UnsupportedEquationError(
+                f"equation is not affine in leading coordinate '{leading}'"
+            )
+    terms = prolonged_action_terms(gen, equation)
+    base = substitute(equation, {leading: Num(0.0)})
+    leading_tape = compile_family([coeff_expr])
+    base_tape = compile_family([base])
+    terms_tape = compile_family([e for pair in terms for e in pair])
+    residuals = []
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        for _ in range(64):
+            bindings = _reference_bindings(rng, names)
+            (a,) = leading_tape(bindings)
+            if abs(a) >= 1e-3:
+                break
+        else:
+            raise UnsupportedEquationError(
+                "leading coefficient stayed below 0.001 while resampling"
+            )
+        (b0,) = base_tape(bindings)
+        bindings[leading] = -b0 / a
+        residuals.append(_reference_relative_action(terms_tape(bindings)))
+    worst = worst_residual(residuals)
+    return LscReport(gen.name, samples, worst, tolerance, worst < tolerance)
+
+
+def reference_invariance_check(gen, function, samples=200, seed=42, tolerance=1e-9):
+    function = simplify(function)
+    tape = compile_family(
+        [
+            gen.xi_t, differentiate(function, "t"),
+            gen.xi_x, differentiate(function, "x"),
+            gen.eta, differentiate(function, "u"),
+        ]
+    )
+    residuals = []
+    skipped = 0
+    for i in range(samples):
+        bindings = _reference_bindings(np.random.default_rng([seed, i]), ["t", "x", "u"])
+        try:
+            values = tape(bindings)
+        except ExpressionError:
+            skipped += 1
+            continue
+        residuals.append(_reference_relative_action(values))
+    worst = worst_residual(residuals)
+    passed = len(residuals) > 0 and worst < tolerance
+    return InvarianceReport(gen.name, samples, len(residuals), skipped, worst, tolerance, passed)
+
+
+def outcome(check, *args, **kwargs):
+    """The report with its residual's bits, or the error's type and message."""
+    try:
+        report = check(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report, np.float64(report.max_residual).tobytes()
+
+
+HEAT = ("u_t - u_xx", "u_t")
+TXPEQ = (constant_curvature_equation(1.0), "u_ttt")
+# the leading coefficient 0.0006 u_x is below 1e-3 on 5/6 of the draws, so
+# most samples are redrawn, some many times; 0.000515 u_x is below it on 97 %
+# of the draws, so some samples exhaust their 64 draws and some do not
+REDRAWN = ("0.0006*u_x*u_t - u_xx", "u_t")
+EXHAUSTED = ("0.000515*u_x*u_t - u_xx", "u_t")
+EQUATIONS = {
+    "heat": HEAT,
+    "txpeq": TXPEQ,
+    "txpeq-lam": (constant_curvature_equation(-0.5), "u_ttt"),
+    "redrawn": REDRAWN,
+    "exhausted": EXHAUSTED,
+    # the base raises at negative u, the leading coefficient at negative u_x
+    "ln-base": ("0.0006*u_x*u_t - u_xx + ln(u)", "u_t"),
+    "sqrt-leading": ("sqrt(u_x)*u_t - u_xx", "u_t"),
+    "sqrt-leading-redrawn": ("0.0006*sqrt(u_x + 1.9)*u_t - u_xx*ln(u + 1.5)", "u_t"),
+    "exhausted-ln-base": ("0.000515*u_x*u_t - u_xx + ln(u + 1.99)", "u_t"),
+    # a sample whose leading coefficient raises is not redrawn: a redraw
+    # could raise the other error
+    "two-leading-errors": ("0.0006*(sqrt(u_x + 1) + ln(u_xx + 1))*u_t - u_xx", "u_t"),
+}
+GENERATORS = {
+    **{name: gen for name, gen in HEAT_GENERATORS.items()},
+    **{name: gen for name, gen in CURVATURE_GENERATORS.items()},
+    "eta = u": parse_generator("eta = u"),
+    "xi_t = t^2": parse_generator("xi_t = t^2"),
+    "xi_t = t + 0.1*x": parse_generator("xi_t = t + 0.1*x"),
+    "xi_t = x + t": parse_generator("xi_t = x + t"),
+    # these raise at some samples
+    "xi_t = sqrt(t)": parse_generator("xi_t = sqrt(t)"),
+    "xi_x = ln(u)": parse_generator("xi_x = ln(u)"),
+    "eta = exp(1000*u)": parse_generator("eta = exp(1000*u)"),
+    # raises at the samples where ln-base's base does, with its own message
+    "eta = sqrt(u)": parse_generator("eta = sqrt(u)"),
+}
+RAISING = ["xi_t = sqrt(t)", "xi_x = ln(u)", "eta = exp(1000*u)"]
+
+
+class TestColumnChecksMatchThePerSampleLoops:
+    @pytest.mark.parametrize("seed", [42, 7, 977, 0, 2**32 + 1])
+    @pytest.mark.parametrize(
+        "pde, gen",
+        [("heat", f"H{i}") for i in range(1, 7)]
+        + [("txpeq", f"X{i}") for i in range(1, 10)]
+        + [("txpeq", "eta = u"), ("txpeq", "xi_t = t^2"), ("heat", "xi_t = t^2"),
+           ("txpeq", "xi_t = t + 0.1*x"), ("txpeq", "xi_t = x + t")]
+        + [(pde, gen) for pde in ("heat", "txpeq") for gen in RAISING],
+    )
+    def test_symmetry_cases(self, pde, gen, seed):
+        equation, leading = EQUATIONS[pde]
+        equation = parse(equation) if isinstance(equation, str) else equation
+        expected = outcome(reference_lsc_check, GENERATORS[gen], equation, leading, seed=seed)
+        assert outcome(lsc_check, GENERATORS[gen], equation, leading, seed=seed) == expected
+
+    @pytest.mark.parametrize("equation", [name for name in EQUATIONS if name not in ("heat", "txpeq")])
+    @pytest.mark.parametrize("gen", ["H1", "H4", "eta = sqrt(u)"] + RAISING)
+    def test_redraws_and_failing_stages(self, equation, gen):
+        equation, leading = EQUATIONS[equation]
+        equation = parse(equation) if isinstance(equation, str) else equation
+        for seed in (42, 3, 11, 12):
+            expected = outcome(reference_lsc_check, GENERATORS[gen], equation, leading, seed=seed)
+            assert outcome(lsc_check, GENERATORS[gen], equation, leading, seed=seed) == expected
+
+    def test_cases_reach_every_stage(self):
+        # the cases above are only evidence if the reference meets what they name
+        def result(name, gen="H1", seed=42):
+            equation, leading = EQUATIONS[name]
+            return outcome(reference_lsc_check, GENERATORS[gen], parse(equation), leading, seed=seed)
+
+        assert isinstance(result("redrawn")[0], LscReport)
+        assert result("exhausted")[1].startswith("leading coefficient stayed below")
+        assert result("ln-base")[1].startswith("ln of non-positive value")
+        assert result("sqrt-leading")[1].startswith("sqrt of negative value")
+        heat, _ = EQUATIONS["heat"]
+        for name in RAISING:
+            assert outcome(
+                reference_lsc_check, GENERATORS[name], parse(heat), "u_t"
+            )[0] is not LscReport
+
+    @pytest.mark.parametrize("seed", [42, 7, 977, 1])
+    @pytest.mark.parametrize(
+        "gen, function",
+        [
+            ("H4", "x/sqrt(t)"),
+            ("xi_t = 2*t; xi_x = x; eta = 3*u", "u/t^1.5"),
+            ("xi_t = 2*t; xi_x = x; eta = 3*u", "u/t^3"),
+            ("H3", "u*(exp(t)*1e999 - exp(x)*1e999 + 1)"),
+            ("H3", "u*(exp(400+t)*exp(400+t) - exp(400+t)*exp(399+t)*exp(1) + 1)"),
+            ("H5", "ln(u) + x^2/(4*t)"),
+        ]
+        + [(gen, "x/sqrt(t)") for gen in RAISING],
+    )
+    def test_invariant_cases(self, gen, function, seed):
+        gen = GENERATORS.get(gen) or parse_generator(gen)
+        expected = outcome(reference_invariance_check, gen, parse(function), seed=seed)
+        assert outcome(invariance_check, gen, parse(function), seed=seed) == expected
+
+
+class TestNoGeneratorPerSample:
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        counts = {"default_rng": 0, "SeedSequence": 0, "PCG64": 0}
+        for name in counts:
+            original = getattr(np.random, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counted)
+        return counts
+
+    def test_lsc_check_builds_one_for_the_probe_and_one_for_the_samples(self, constructions):
+        lsc_check(CURVATURE_GENERATORS["X4"], constant_curvature_equation(1.0), "u_ttt", samples=200)
+        assert constructions == {"default_rng": 0, "SeedSequence": 0, "PCG64": 2}
+
+    def test_invariance_check_builds_one_bit_generator(self, constructions):
+        invariance_check(HEAT_GENERATORS["H4"], parse("x/sqrt(t)"), samples=200)
+        assert constructions == {"default_rng": 0, "SeedSequence": 0, "PCG64": 1}
 
 
 class TestInvariance:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -401,6 +402,17 @@ class TestSetReductions:
                     lambda: dataclasses.astuple(lambda_estimate(spec, points[:count]))
                 ) == by_set(lambda: dataclasses.astuple(scalar_lambda_estimate(spec, points[:count])))
 
+    @pytest.mark.parametrize("factor", ["1e-170", "1e-160", "1e170", "1e300"])
+    def test_convexity_where_the_scale_squared_is_not_normal(self, factor):
+        # the scale squared underflows (to 0 or a subnormal) or overflows;
+        # t^2 + x^2 is convex everywhere, the t^3 term only for t > -1/3
+        spec = PotentialSpec.create("scaled", 2, f"{factor}*(t^2 + x^2 + t^3)")
+        points = np.random.default_rng(13).uniform(-1.0, 1.0, size=(60, 2)).tolist()
+        expected = [scalar_convexity(spec, p) for p in points]
+        assert evaluate_points(spec, points, cubic=False).convexity() == expected
+        assert [convexity_check(spec, p) for p in points] == expected
+        assert expected == [CONVEX if t > -1 / 3 else NOT_CONVEX for t, _ in points]
+
     @pytest.mark.parametrize("spec, box", REDUCTION_CASES)
     def test_relative_determinants_match_each_metric_evaluation(self, spec, box):
         rng = np.random.default_rng(12)
@@ -462,6 +474,8 @@ def scalar_convexity(spec, point):
     scale = max(abs(ptt), abs(ptx), abs(pxx))
     if scale == 0.0:
         return NOT_CONVEX
+    if not sys.float_info.min <= scale * scale < math.inf:
+        ptt, ptx, pxx, scale = ptt / scale, ptx / scale, pxx / scale, 1.0
     trace = (ptt + pxx) / scale
     det = (ptt * pxx - ptx * ptx) / (scale * scale)
     return CONVEX if trace > 1e-12 and det > 1e-12 else NOT_CONVEX

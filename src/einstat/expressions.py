@@ -27,7 +27,6 @@ with one Richardson extrapolation level.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import struct
@@ -204,6 +203,12 @@ def _operands(node: Expr) -> tuple:
     if isinstance(node, Pow):
         return (node.base, node.exponent)
     return ()
+
+
+def _op(node: Expr):
+    """The key of the node's operator in the tables of instructions and
+    rules: its type, or its function name for a ``Call``."""
+    return node.func if isinstance(node, Call) else type(node)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +486,7 @@ def _apply(e: Expr, operands: Sequence[float]) -> float:
     raises is the :class:`DomainError` of ``_DOMAIN_MESSAGES``, and a
     non-finite value of finite operands an overflow: ``inf - inf`` would
     make it a NaN that no check downstream can tell from a computed one."""
-    op = e.func if isinstance(e, Call) else type(e)
+    op = _op(e)
     fn = _TAPE_OPS.get(op)
     if fn is None:
         raise UnknownFunctionError(f"unknown function '{op}'", 0)
@@ -502,20 +507,32 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
     zero, and overflow raise :class:`DomainError` carrying the offending
     subtree.
     """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-    if isinstance(e, Const):
-        try:
-            return CONSTANTS[e.name]
-        except KeyError:
-            raise UnknownConstantError(f"unknown named constant '{e.name}'") from None
-    # map, not a comprehension: one frame of recursion per level of the tree
-    return _apply(e, [*map(evaluate, _operands(e), itertools.repeat(bindings))])
+    return _evaluate_all((e,), bindings)[0]
+
+
+def _evaluate_all(exprs: Iterable[Expr], bindings: Bindings) -> list[float]:
+    """:func:`evaluate` of each tree, in one fold over the family: a
+    subtree shared by reference is evaluated once, and the first error in
+    the order of the roots, then of the operands, is raised."""
+
+    def value(node: Expr, operands: list[float]) -> float:
+        if operands:
+            return _apply(node, operands)
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            try:
+                return float(bindings[node.name])
+            except KeyError:
+                raise UnboundVariableError(node.name) from None
+        if isinstance(node, Const):
+            try:
+                return CONSTANTS[node.name]
+            except KeyError:
+                raise UnknownConstantError(f"unknown named constant '{node.name}'") from None
+        return _apply(node, operands)  # not an expression: raises, naming its type
+
+    return _post_order(exprs, value)
 
 
 # -- compiled evaluation -----------------------------------------------------
@@ -529,9 +546,10 @@ def _post_order(roots: Iterable[Expr], visit: Callable[[Expr, list], object]) ->
     """Fold ``visit(node, operand_results)`` over the trees bottom-up, and
     return the result at each root.
 
-    The walk is iterative, so depth is bounded only by memory, and it
-    remembers nodes by identity: a subtree shared by reference is visited
-    once, even across roots.
+    Nodes are visited in post-order, root by root and operands left to
+    right.  The walk is iterative, so depth is bounded only by memory, and
+    it remembers nodes by identity: a subtree shared by reference is
+    visited once, even across roots.
     """
     done: dict[int, object] = {}
     results = []
@@ -547,7 +565,7 @@ def _post_order(roots: Iterable[Expr], visit: Callable[[Expr, list], object]) ->
                 if children:
                     # revisit the node once everything pushed above it is done
                     stack.append((item, children))
-                    stack.extend(children)
+                    stack.extend(children[::-1])
                 else:
                     done[id(item)] = visit(item, [])
         results.append(done[id(root)])
@@ -563,8 +581,8 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
     with the instructions :func:`evaluate` runs.  When an instruction
     raises (a function or constant the grammar does not name always does)
     or any slot ends non-finite (which is where :func:`evaluate` may have
-    raised on an overflow), the call re-runs :func:`evaluate`, so every
-    error and the subtree it carries are the tree walk's own.
+    raised on an overflow), the call evaluates the family again by one tree
+    walk, so every error and the subtree it carries are the walk's own.
 
     Its ``columns`` attribute evaluates the family over a whole set of
     points (see :func:`_column_run`); nothing is built for that until it
@@ -580,14 +598,14 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
 
     def number(node: Expr, operands: list[int]) -> int:
         value = None
-        if isinstance(node, Num):  # keyed by its bits, so 0.0 and -0.0 stay apart
+        if operands:
+            key = (_op(node), *operands)
+        elif isinstance(node, Num):  # keyed by its bits, so 0.0 and -0.0 stay apart
             key, value = (Num, struct.pack("<d", node.value)), node.value
         elif isinstance(node, Var):
             key = (Var, node.name)
-        elif isinstance(node, Const):
-            key, value = (Const, node.name), CONSTANTS.get(node.name)
         else:
-            key = (node.func if isinstance(node, Call) else type(node), *operands)
+            key, value = (Const, node.name), CONSTANTS.get(node.name)
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(template)
@@ -616,7 +634,7 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
                 return tuple([values[r] for r in roots])
         except Exception:
             pass
-        return tuple(evaluate(e, bindings) for e in exprs)
+        return tuple(_evaluate_all(exprs, bindings))
 
     # a partial of a module function: the tape holds no reference to itself,
     # so it is freed as soon as it is dropped
@@ -700,7 +718,7 @@ def _column_run(
     for row in redo:
         try:
             bindings = {name: column[row] for name, column in listed.items()}
-            redone.append([evaluate(e, bindings) for e in exprs])
+            redone.append(_evaluate_all(exprs, bindings))
         except ExpressionError as exc:
             redone.append((math.nan,) * len(exprs))
             # kept without traceback and context: both reach this frame, and
@@ -752,37 +770,6 @@ def _fold(e: Expr) -> Expr:
         return e
 
 
-def _unfolded(e: Expr) -> bool:
-    """Whether ``e`` is a constant that :func:`_fold` left standing: it
-    evaluates nowhere, so ``e - e`` must not become a number."""
-    operands = _operands(e)
-    return bool(operands) and all(isinstance(o, Num) for o in operands)
-
-
-def _equal(a: Expr, b: Expr) -> bool:
-    """``a == b`` without recursion: the dataclasses' structural equality,
-    under which a subtree is equal to itself, ``0.0`` equals ``-0.0`` and a
-    NaN equals only the same float object."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Num):
-            if not (x.value is y.value or x.value == y.value):
-                return False
-        elif isinstance(x, (Const, Var)):
-            if x.name != y.name:
-                return False
-        elif isinstance(x, Call) and x.func != y.func:
-            return False
-        else:
-            stack.extend(zip(_operands(x), _operands(y)))
-    return True
-
-
 def _add(a: Expr, b: Expr) -> Expr:
     if _is_num(a, 0.0):
         return b
@@ -800,8 +787,6 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return _neg(b)
     if isinstance(a, Num) and isinstance(b, Num):
         return _fold(Sub(a, b))
-    if _equal(a, b) and not _unfolded(a):
-        return ZERO
     return Sub(a, b)
 
 
@@ -864,62 +849,58 @@ def _call(func: str, arg: Expr) -> Expr:
 
 # -- differentiation ---------------------------------------------------------
 
+def _power_rule(e: Pow, name: str) -> Expr:
+    """For a constant exponent the power rule (valid for negative bases),
+    otherwise the logarithmic form ``b^p (p' ln b + p b'/b)``."""
+    b, p = e.base, e.exponent
+    db = differentiate(b, name)
+    if isinstance(p, Num):
+        return _mul(_mul(p, _pow(b, Num(p.value - 1.0))), db)
+    if isinstance(p, Const):
+        return _mul(_mul(p, _pow(b, _sub(p, ONE))), db)
+    dp = differentiate(p, name)
+    return _mul(e, _add(_mul(dp, _call("ln", b)), _div(_mul(p, db), b)))
+
+
+#: Derivative rule per operator, keyed as ``_TAPE_OPS``: the node's
+#: derivative by a variable, differentiating the operands it needs.
+_DERIVATIVES: dict = {
+    Neg: lambda e, v: _neg(differentiate(e.arg, v)),
+    Add: lambda e, v: _add(differentiate(e.left, v), differentiate(e.right, v)),
+    Sub: lambda e, v: _sub(differentiate(e.left, v), differentiate(e.right, v)),
+    Mul: lambda e, v: _add(
+        _mul(differentiate(e.left, v), e.right), _mul(e.left, differentiate(e.right, v))
+    ),
+    Div: lambda e, v: _div(
+        _sub(_mul(differentiate(e.left, v), e.right), _mul(e.left, differentiate(e.right, v))),
+        _pow(e.right, Num(2.0)),
+    ),
+    Pow: _power_rule,
+    "exp": lambda e, v: _mul(e, differentiate(e.arg, v)),
+    "ln": lambda e, v: _div(differentiate(e.arg, v), e.arg),
+    "sqrt": lambda e, v: _div(differentiate(e.arg, v), _mul(Num(2.0), e)),
+    "sin": lambda e, v: _mul(_call("cos", e.arg), differentiate(e.arg, v)),
+    "cos": lambda e, v: _neg(_mul(_call("sin", e.arg), differentiate(e.arg, v))),
+}
+
+
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to variable ``name``.
 
     The result is built through the rewrite rules of :func:`simplify`,
     one node at a time, from new nodes and subtrees of ``e``.  So the
     derivative of a simplified tree is simplified: :func:`simplify` would
-    return an equal tree, and it need not be walked again.  For a constant
-    exponent the power rule is used (valid for negative bases), otherwise
-    the logarithmic form ``b^p (p' ln b + p b'/b)``.
+    return an equal tree, and it need not be walked again.  An operator
+    node's derivative is its rule in ``_DERIVATIVES``.
     """
     if isinstance(e, (Num, Const)):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
-    if isinstance(e, Neg):
-        return _neg(differentiate(e.arg, name))
-    if isinstance(e, Add):
-        return _add(differentiate(e.left, name), differentiate(e.right, name))
-    if isinstance(e, Sub):
-        return _sub(differentiate(e.left, name), differentiate(e.right, name))
-    if isinstance(e, Mul):
-        return _add(
-            _mul(differentiate(e.left, name), e.right),
-            _mul(e.left, differentiate(e.right, name)),
-        )
-    if isinstance(e, Div):
-        return _div(
-            _sub(
-                _mul(differentiate(e.left, name), e.right),
-                _mul(e.left, differentiate(e.right, name)),
-            ),
-            _pow(e.right, Num(2.0)),
-        )
-    if isinstance(e, Pow):
-        db = differentiate(e.base, name)
-        if isinstance(e.exponent, Num):
-            return _mul(_mul(e.exponent, _pow(e.base, Num(e.exponent.value - 1.0))), db)
-        if isinstance(e.exponent, Const):
-            return _mul(_mul(e.exponent, _pow(e.base, _sub(e.exponent, ONE))), db)
-        dp = differentiate(e.exponent, name)
-        return _mul(
-            e,
-            _add(_mul(dp, _call("ln", e.base)), _div(_mul(e.exponent, db), e.base)),
-        )
+    rule = _DERIVATIVES.get(_op(e))
+    if rule is not None:
+        return rule(e, name)
     if isinstance(e, Call):
-        da = differentiate(e.arg, name)
-        if e.func == "exp":
-            return _mul(e, da)
-        if e.func == "ln":
-            return _div(da, e.arg)
-        if e.func == "sqrt":
-            return _div(da, _mul(Num(2.0), e))
-        if e.func == "sin":
-            return _mul(_call("cos", e.arg), da)
-        if e.func == "cos":
-            return _neg(_mul(_call("sin", e.arg), da))
         raise UnknownFunctionError(f"unknown function '{e.func}'", 0)
     raise TypeError(f"not an expression: {e!r}")
 

@@ -41,9 +41,6 @@ from .expressions import (
 #: Determinant floor, relative to max |g_ij| ** n.
 SINGULARITY_THRESHOLD = 1e-12
 
-#: Margin for positive definiteness of leading principal minors.
-DEFINITENESS_MARGIN = 1e-12
-
 
 class SingularMetricError(ExpressionError):
     """Metric determinant too small for a trustworthy inversion."""
@@ -259,17 +256,6 @@ class MetricField:
     def evaluate(self, point: Point) -> np.ndarray:
         values = _entry_tape(self)(self.bindings(point))
         return np.array(values)[_symmetric_index(self.dimension, 2)[1]]
-
-    def positive_definite_at(self, point: Point) -> bool:
-        g = self.evaluate(point)
-        scale = float(np.max(np.abs(g)))
-        if scale == 0.0:
-            return False
-        for k in range(1, self.dimension + 1):
-            minor = float(np.linalg.det(g[:k, :k]))
-            if minor / scale ** k <= DEFINITENESS_MARGIN:
-                return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -205,9 +205,6 @@ class ProlongedGenerator:
     base: GeneratorField
     order: int
     coefficients: dict[MultiIndex, Expr] = field(default_factory=dict)
-
-    def coefficient(self, index: MultiIndex) -> Expr:
-        return self.coefficients[index]
 
 
 def prolong(gen: GeneratorField, order: int) -> ProlongedGenerator:
@@ -461,16 +458,6 @@ def lsc_check(
         raise failures[first]
     worst = worst_residual(_relative_actions(values).tolist())
     return LscReport(gen.name, samples, worst, tolerance, worst < tolerance)
-
-
-def prolonged_action_value(
-    gen: GeneratorField, equation: Expr, bindings: Mapping[str, float]
-) -> float:
-    """Value of ``pr X(F)`` at an arbitrary (not necessarily on-shell) jet point."""
-    return sum(
-        evaluate(coeff, bindings) * evaluate(partial, bindings)
-        for coeff, partial in prolonged_action_terms(gen, equation)
-    )
 
 
 def invariance_check(

@@ -40,6 +40,9 @@ from .expressions import (
 
 #: Determinant floor, relative to max |g_ij| ** n.
 SINGULARITY_THRESHOLD = 1e-12
+#: Inputs each cache keeps; a long-lived process that meets new potentials
+#: holds the symbolic work of this many at most.
+CACHED_INPUTS = 64
 
 
 class SingularMetricError(ExpressionError):
@@ -49,7 +52,7 @@ class SingularMetricError(ExpressionError):
 Point = Sequence[float]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_INPUTS)
 def _theta_names(dimension: int) -> tuple[str, ...]:
     return tuple(f"theta{i + 1}" for i in range(dimension))
 
@@ -172,24 +175,23 @@ def _resolve(e: Expr, constants: tuple[tuple[str, float], ...]) -> Expr:
     return simplify(substitute(e, {cname: Num(cvalue) for cname, cvalue in constants}))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_INPUTS)
 def resolved_potential(spec: PotentialSpec) -> Expr:
     return _resolve(spec.psi, spec.constants)
 
 
-@lru_cache(maxsize=None)
 def resolved_constraints(spec: PotentialSpec) -> tuple[Expr, ...]:
     return tuple(_resolve(c, spec.constants) for c in spec.constraints)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_INPUTS)
 def _constraint_tape(owner: "PotentialSpec | MetricField"):
     if isinstance(owner, PotentialSpec):
         return compile_family(resolved_constraints(owner))
     return compile_family(owner.constraints)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_INPUTS)
 def _symmetric_index(dimension: int, rank: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """The sorted index tuples of a totally symmetric tensor, in
     lexicographic order, and for every index tuple the position of its
@@ -295,7 +297,7 @@ class CurvatureBundle:
 # Assembly from a potential
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_INPUTS)
 def fisher_metric(spec: PotentialSpec) -> MetricField:
     """Hessian of the potential as a symbolic metric."""
     psi = resolved_potential(spec)
@@ -309,7 +311,6 @@ def fisher_metric(spec: PotentialSpec) -> MetricField:
     return MetricField(entries, resolved_constraints(spec), spec.name)
 
 
-@lru_cache(maxsize=None)
 def cubic_tensor(spec: PotentialSpec) -> CubicTensor:
     """Third mixed partials of the potential, shared across permutations."""
     metric = fisher_metric(spec)
@@ -329,39 +330,16 @@ def cubic_tensor(spec: PotentialSpec) -> CubicTensor:
     return CubicTensor(comps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_INPUTS)
 def _entry_tape(metric: MetricField):
     """Tape of the metric's upper entries; for a Fisher metric, the Hessian."""
     return compile_family(metric.upper_entries())
 
 
-@lru_cache(maxsize=None)
-def _hessian_tape(spec: PotentialSpec):
-    """The Fisher metric's entry tape, looked up by its potential."""
-    return _entry_tape(fisher_metric(spec))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_INPUTS)
 def _cubic_tape(spec: PotentialSpec):
     """Tape of the cubic tensor's sorted components."""
     return compile_family(cubic_tensor(spec).sorted_components())
-
-
-def alpha_connection(
-    spec: PotentialSpec, alpha: float
-) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
-    """Connection coefficients ``(1 - alpha)/2 * T_ijk``, indexed ``[i][j][k]``,
-    built simplified from the simplified cubic tensor."""
-    tensor = cubic_tensor(spec)
-    n = tensor.dimension
-    factor = Num((1.0 - alpha) / 2.0)
-    return tuple(
-        tuple(
-            tuple(factor * tensor.components[i][j][k] for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
 
 
 def _checked_inverse(g: np.ndarray) -> np.ndarray:
@@ -421,7 +399,6 @@ def _bundle_from_riemann(
 # Levi-Civita route from an arbitrary symmetric metric
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _metric_derivative_exprs(metric: MetricField) -> tuple[tuple[Expr, ...], tuple[Expr, ...]]:
     """``d_k g_ij`` ordered by ``k`` and then as :meth:`MetricField.upper_entries`,
     and ``d_l d_k g_ij`` ordered by ``l`` and then as the first derivatives.
@@ -436,7 +413,7 @@ def _metric_derivative_exprs(metric: MetricField) -> tuple[tuple[Expr, ...], tup
     return first, second
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_INPUTS)
 def _levi_civita_tape(metric: MetricField):
     """Tape of the upper entries followed by both derivative families."""
     first, second = _metric_derivative_exprs(metric)

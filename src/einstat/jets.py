@@ -20,7 +20,6 @@ sampled values never matter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -504,7 +503,6 @@ def heat_equation() -> Expr:
     return parse("u_t - u_xx")
 
 
-@lru_cache(maxsize=None)
 def constant_curvature_equation(lam: float) -> Expr:
     """Third-order constant-curvature equation for the potential ``u(t, x)``.
 

@@ -32,9 +32,10 @@ from .geometry import (
     SINGULARITY_THRESHOLD,
     SingularMetricError,
     _cubic_tape,
-    _hessian_tape,
+    _entry_tape,
     _in_domain,
     _outside_domain,
+    fisher_metric,
 )
 
 DEFAULT_SEED = 42
@@ -246,7 +247,7 @@ def evaluate_points(
     _require_planar(spec)
     block = np.array(list(points), dtype=float)
     columns = spec.column_bindings(block)
-    hessian, failed = _hessian_tape(spec).columns(columns)
+    hessian, failed = _entry_tape(fisher_metric(spec)).columns(columns)
     outside = np.flatnonzero(~_inside(spec, block)).tolist()
     failed.update((row, _outside_domain(spec)) for row in outside)
     hessian[:, list(failed)] = np.nan
@@ -264,7 +265,7 @@ def _at_point(spec: PotentialSpec, point, cubic: bool = True) -> PointValues:
     else:
         bindings = spec.bindings(point)
         try:
-            hessian = _hessian_tape(spec)(bindings)
+            hessian = _entry_tape(fisher_metric(spec))(bindings)
         except ExpressionError as exc:
             failed[0] = exc
         else:

@@ -52,6 +52,36 @@ def test_one_pass_gives_every_known_answer(name):
     assert wrong == []
 
 
+def geometry_caches():
+    from einstat import geometry
+
+    return [obj for obj in vars(geometry).values() if hasattr(obj, "cache_info")]
+
+
+def run_pass(items):
+    for item in items:
+        item.run(Untraced())
+
+
+def test_clear_caches_empties_every_geometry_cache():
+    # a cold pass is only cold if no cache outlives clear_caches
+    run_pass(workloads.WORKLOADS["unseen"].inputs(SEED, 0))
+    caches = geometry_caches()
+    assert any(cache.cache_info().currsize for cache in caches)
+    workloads.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+
+def test_warm_catalog_pass_misses_no_geometry_cache():
+    # the warm passes rest on every per-point lookup hitting its cache
+    items = workloads.WORKLOADS["catalog"].inputs(SEED, 0)
+    run_pass(items)
+    caches = geometry_caches()
+    misses = [cache.cache_info().misses for cache in caches]
+    run_pass(items)
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
 @pytest.fixture
 def probes(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # probes imports its siblings by name

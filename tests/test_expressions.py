@@ -40,7 +40,6 @@ from einstat.geometry import (
     _constraint_tape,
     _cubic_tape,
     _entry_tape,
-    _hessian_tape,
     _levi_civita_tape,
     cubic_tensor,
     fisher_metric,
@@ -423,7 +422,7 @@ class TestCompiledFamily:
         entry = get_entry(name)
         source = entry.source()
         if entry.kind == "potential":
-            tapes = [_hessian_tape(source), _cubic_tape(source), _constraint_tape(source)]
+            tapes = [_entry_tape(fisher_metric(source)), _cubic_tape(source), _constraint_tape(source)]
         else:
             tapes = [_entry_tape(source), _constraint_tape(source), _levi_civita_tape(source)]
         t0, t1, x0, x1 = entry.box

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from einstat import geometry
 from einstat.catalog import entry_names, get_entry
 from einstat.expressions import (
     DomainError,
@@ -19,7 +20,6 @@ from einstat.geometry import (
     PotentialSpec,
     SingularMetricError,
     _checked_inverse,
-    alpha_connection,
     alpha_curvature,
     cubic_tensor,
     einstein_residual,
@@ -168,41 +168,6 @@ class TestCubicTensor:
         assert tens[0, 0, 1] == pytest.approx(2.0, rel=1e-12)
         # total symmetry of the evaluated tensor
         assert tens[0, 1, 0] == tens[0, 0, 1] == tens[1, 0, 0]
-
-
-class TestAlphaConnection:
-    def test_alpha_one_vanishes(self):
-        coeffs = alpha_connection(NORMAL, 1.0)
-        b = NORMAL.bindings((0.3, -0.7))
-        from einstat.expressions import evaluate
-
-        values = [
-            evaluate(coeffs[i][j][k], b)
-            for i in range(2)
-            for j in range(2)
-            for k in range(2)
-        ]
-        assert all(v == 0.0 for v in values)
-
-    def test_alpha_zero_is_half_cubic(self):
-        coeffs = alpha_connection(NORMAL, 0.0)
-        from einstat.expressions import evaluate
-
-        b = NORMAL.bindings((0.0, -0.5))
-        assert evaluate(coeffs[0][0][1], b) == pytest.approx(1.0)
-
-    def test_alpha_minus_one_equals_cubic(self):
-        coeffs = alpha_connection(NORMAL, -1.0)
-        tens = cubic_tensor(NORMAL)
-        from einstat.expressions import evaluate
-
-        b = NORMAL.bindings((0.4, -1.2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    assert evaluate(coeffs[i][j][k], b) == pytest.approx(
-                        evaluate(tens.components[i][j][k], b), rel=1e-12
-                    )
 
 
 class TestAlphaCurvature:
@@ -609,3 +574,20 @@ class TestPlanarRoute:
 
         check()
         assert any(curved)
+
+
+def test_caches_stay_within_their_bound():
+    # new potentials in one long-lived process, with no cache ever cleared
+    point = (0.5, 0.25)
+    for k in range(geometry.CACHED_INPUTS + 10):
+        spec = PotentialSpec.create(f"bounded-{k}", 2, f"t^2 + {k + 1}*x^2")
+        assert convexity_check(spec, point) == CONVEX
+        alpha_curvature(spec, 0.0, point)
+        ricci_from_metric(fisher_metric(spec), point)
+    caches = [obj for obj in vars(geometry).values() if hasattr(obj, "cache_info")]
+    assert fisher_metric in caches
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == geometry.CACHED_INPUTS
+        assert info.currsize <= info.maxsize
+    assert fisher_metric.cache_info().currsize == geometry.CACHED_INPUTS

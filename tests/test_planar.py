@@ -14,7 +14,7 @@ from einstat.geometry import (
     PotentialSpec,
     SingularMetricError,
     _cubic_tape,
-    _hessian_tape,
+    _entry_tape,
     _in_domain,
     alpha_curvature,
     fisher_metric,
@@ -436,7 +436,7 @@ class TestSetReductions:
 def scalar_hessian(spec, point):
     if not spec.in_domain(point):
         raise DomainError("point violates the domain constraints", resolved_potential(spec))
-    return _hessian_tape(spec)(spec.bindings(point))
+    return _entry_tape(fisher_metric(spec))(spec.bindings(point))
 
 
 def scalar_numerator(spec, point, h2):

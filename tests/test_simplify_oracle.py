@@ -159,13 +159,7 @@ def reference_simplify(e: Expr) -> Expr:
 
 # -- every simplify input and derivative of the symbolic pipelines -----------
 
-_CACHED = (
-    geometry.resolved_potential,
-    geometry.resolved_constraints,
-    geometry.fisher_metric,
-    geometry.cubic_tensor,
-    geometry._metric_derivative_exprs,
-)
+_CACHED = (geometry.resolved_potential, geometry.fisher_metric)
 
 def _coefficients(gen: jets.GeneratorField) -> tuple[Expr, ...]:
     return (gen.xi_t, gen.xi_x, gen.eta)
@@ -177,7 +171,6 @@ _RETURNED_TREES = {
     (geometry, "fisher_metric"): geometry.MetricField.upper_entries,
     (geometry, "cubic_tensor"): geometry.CubicTensor.sorted_components,
     (geometry, "_metric_derivative_exprs"): lambda families: families[0] + families[1],
-    (geometry, "alpha_connection"): lambda c: [e for plane in c for row in plane for e in row],
     (jets, "total_derivative"): lambda e: (e,),
     (jets, "characteristic"): lambda e: (e,),
     (jets, "prolong"): lambda prolonged: tuple(prolonged.coefficients.values()),
@@ -231,8 +224,7 @@ def _build_catalog():
     for name in entry_names():
         entry = get_entry(name)
         if entry.kind == "potential":
-            for alpha in (0.5, 1.0, -1.0):  # also the potential, metric and cubic tensor
-                geometry.alpha_connection(entry.potential, alpha)
+            geometry.cubic_tensor(entry.potential)  # also the potential and metric
             metric = geometry.fisher_metric(entry.potential)
         else:
             metric = entry.metric

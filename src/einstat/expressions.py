@@ -44,6 +44,11 @@ CONSTANTS: dict[str, float] = {"pi": math.pi, "euler_gamma": EULER_GAMMA}
 #: Function names admitted by the grammar.
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
 
+#: Inputs each per-input cache keeps (in ``geometry`` and ``jets``); a
+#: long-lived process that meets new inputs holds the symbolic work of this
+#: many at most.
+CACHED_INPUTS = 64
+
 
 class ExpressionError(Exception):
     """Base class for all expression-level failures."""

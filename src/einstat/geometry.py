@@ -23,6 +23,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .expressions import (
+    CACHED_INPUTS,
     DomainError,
     Expr,
     ExpressionError,
@@ -40,9 +41,6 @@ from .expressions import (
 
 #: Determinant floor, relative to max |g_ij| ** n.
 SINGULARITY_THRESHOLD = 1e-12
-#: Inputs each cache keeps; a long-lived process that meets new potentials
-#: holds the symbolic work of this many at most.
-CACHED_INPUTS = 64
 
 
 class SingularMetricError(ExpressionError):

@@ -20,11 +20,13 @@ sampled values never matter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from functools import lru_cache, wraps
+from typing import Callable, Union
 
 import numpy as np
 
 from .expressions import (
+    CACHED_INPUTS,
     Expr,
     ExpressionError,
     Num,
@@ -352,8 +354,14 @@ def _stream_states(seed: int, indices: np.ndarray) -> list[tuple[int, int]]:
 
 def _stream_draws(seed: int, indices: np.ndarray, count: int) -> np.ndarray:
     """``np.random.default_rng([seed, i]).uniform(-2.0, 2.0, count)`` for
-    every ``i`` of ``indices``, one row each: numpy's own draws from states
-    derived at once (:func:`_stream_states`)."""
+    every ``i`` of ``indices``, one row each, bit for bit: numpy's own
+    ``random`` doubles ``r`` from states derived at once
+    (:func:`_stream_states`), scaled together at the end.
+
+    ``uniform`` computes ``low + (high - low) * r`` per double.  Here
+    ``high - low = 4`` is a power of two, so the product is exact, and one
+    multiply and one add over the whole array give the same doubles.
+    """
     low, high = _SAMPLE_RANGE
     bitgen = np.random.PCG64(0)  # each row sets its whole state
     generator = np.random.Generator(bitgen)
@@ -365,8 +373,8 @@ def _stream_draws(seed: int, indices: np.ndarray, count: int) -> np.ndarray:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        out[row] = generator.uniform(low, high, count)
-    return out
+        generator.random(out=out[row])
+    return low + (high - low) * out
 
 
 def _relative_actions(values: np.ndarray) -> np.ndarray:
@@ -381,6 +389,65 @@ def _relative_actions(values: np.ndarray) -> np.ndarray:
             magnitude += np.abs(product)
         # fmax, as Python's max(1.0, nan) is 1.0
         return np.abs(total) / np.fmax(1.0, magnitude)
+
+
+def _check_samples(samples: int) -> None:
+    if not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be a positive integer (got {samples!r})")
+
+
+def _plan_cache(build: Callable) -> Callable:
+    """``build`` behind an ``lru_cache`` of :data:`CACHED_INPUTS` inputs,
+    keyed by the arguments and their ``repr``.
+
+    ``Num(0.0) == Num(-0.0)``, but a plan built from one zero names it in
+    its errors: after ``eta = ln(-0)``, ``eta = ln(0)`` would raise
+    "division by zero in '0/-0'" from the first one's plan.
+    """
+    cache = lru_cache(maxsize=CACHED_INPUTS)(lambda text, *args: build(*args))
+
+    @wraps(build)
+    def cached(*args):
+        return cache(repr(args), *args)
+
+    cached.cache_info, cached.cache_clear = cache.cache_info, cache.cache_clear
+    return cached
+
+
+@_plan_cache
+def _leading_plan(equation: Expr, leading: str) -> tuple[Expr, Expr, Callable, Callable]:
+    """The simplified equation, its second derivative by the leading
+    coordinate (zero when it is affine there), and the tapes of the leading
+    coefficient and of the base, the equation at ``leading = 0``."""
+    equation = simplify(equation)
+    coeff_expr = differentiate(equation, leading)
+    second = differentiate(coeff_expr, leading)
+    base = substitute(equation, {leading: Num(0.0)})
+    return equation, second, compile_family([coeff_expr]), compile_family([base])
+
+
+@_plan_cache
+def _action_tape(gen: GeneratorField, equation: Expr) -> Callable:
+    """The tape of the :func:`prolonged_action_terms` pairs, coefficient
+    then partial."""
+    return compile_family([e for pair in prolonged_action_terms(gen, equation) for e in pair])
+
+
+@_plan_cache
+def _invariance_tape(gen: GeneratorField, function: Expr) -> Callable:
+    """The tape of the pairs (coefficient, partial of the function) whose
+    products sum to ``X(f)``."""
+    extra = free_variables(function) - {"t", "x", "u"}
+    if extra:
+        raise ValueError(f"invariant candidate depends on {sorted(extra)}")
+    function = simplify(function)
+    return compile_family(
+        [
+            gen.xi_t, differentiate(function, "t"),
+            gen.xi_x, differentiate(function, "x"),
+            gen.eta, differentiate(function, "u"),
+        ]
+    )
 
 
 def lsc_check(
@@ -400,15 +467,13 @@ def lsc_check(
     ``np.random.default_rng([seed, i])``, and a sample whose leading
     coefficient is smaller than ``1e-3`` is redrawn from the same stream.
     Every sample is evaluated at once, one column run per tape; the error
-    raised is that of the first failing sample.
+    raised is that of the first failing sample.  The symbolic plan is
+    built once per input and cached.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be a positive integer (got {samples})")
+    _check_samples(samples)
     if parse_jet_name(leading) is None:
         raise UnsupportedEquationError(f"'{leading}' is not a jet coordinate")
-    equation = simplify(equation)
-    coeff_expr = differentiate(equation, leading)
-    second = differentiate(coeff_expr, leading)
+    equation, second, leading_tape, base_tape = _leading_plan(equation, leading)
     names = jet_variables(MAX_JET_ORDER)
     width = len(names)
     # eight points of one more stream, [seed, 0xAFF1], probe that F is affine
@@ -418,11 +483,8 @@ def lsc_check(
             raise UnsupportedEquationError(
                 f"equation is not affine in leading coordinate '{leading}'"
             )
-    terms = prolonged_action_terms(gen, equation)
-    base = substitute(equation, {leading: Num(0.0)})
-    leading_tape = compile_family([coeff_expr])
-    base_tape = compile_family([base])
-    terms_tape = compile_family([e for pair in terms for e in pair])
+    # built after the probe, so an order overflow never comes before "not affine"
+    terms_tape = _action_tape(gen, equation)
 
     draws = np.empty((samples, width))
     a = np.empty(samples)
@@ -473,17 +535,8 @@ def invariance_check(
     instance square roots of negative samples) are skipped and counted
     rather than raised.
     """
-    extra = free_variables(function) - {"t", "x", "u"}
-    if extra:
-        raise ValueError(f"invariant candidate depends on {sorted(extra)}")
-    function = simplify(function)
-    tape = compile_family(
-        [
-            gen.xi_t, differentiate(function, "t"),
-            gen.xi_x, differentiate(function, "x"),
-            gen.eta, differentiate(function, "u"),
-        ]
-    )
+    _check_samples(samples)
+    tape = _invariance_tape(gen, function)
     names = ("t", "x", "u")
     draws = _stream_draws(seed, np.arange(samples), len(names))
     values, errors = tape.columns(dict(zip(names, draws.T)))

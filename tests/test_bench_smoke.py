@@ -52,10 +52,13 @@ def test_one_pass_gives_every_known_answer(name):
     assert wrong == []
 
 
-def geometry_caches():
-    from einstat import geometry
+def module_caches(name):
+    module = importlib.import_module(f"einstat.{name}")
+    return [obj for obj in vars(module).values() if hasattr(obj, "cache_info")]
 
-    return [obj for obj in vars(geometry).values() if hasattr(obj, "cache_info")]
+
+def geometry_caches():
+    return module_caches("geometry")
 
 
 def run_pass(items):
@@ -77,6 +80,20 @@ def test_warm_catalog_pass_misses_no_geometry_cache():
     items = workloads.WORKLOADS["catalog"].inputs(SEED, 0)
     run_pass(items)
     caches = geometry_caches()
+    misses = [cache.cache_info().misses for cache in caches]
+    run_pass(items)
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def test_clear_caches_empties_every_jets_cache_and_a_warm_pass_misses_none():
+    items = workloads.WORKLOADS["symmetry"].inputs(SEED, 0)
+    run_pass(items)
+    caches = module_caches("jets")
+    assert len(caches) == 3
+    assert all(cache.cache_info().currsize for cache in caches)
+    workloads.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    run_pass(items)
     misses = [cache.cache_info().misses for cache in caches]
     run_pass(items)
     assert [cache.cache_info().misses for cache in caches] == misses

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from einstat import jets
 from einstat.expressions import (
+    CACHED_INPUTS,
     ExpressionError,
     Num,
     Var,
@@ -195,7 +197,7 @@ class TestLscHeat:
         with pytest.raises(UnsupportedEquationError, match="stayed below"):
             lsc_check(HEAT_GENERATORS["H1"], parse("0.0001*u_x*u_t + ln(u)"), "u_t", samples=5)
 
-    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
     def test_empty_sample_is_rejected(self, samples):
         with pytest.raises(ValueError, match="positive"):
             lsc_check(HEAT_GENERATORS["H1"], heat_equation(), "u_t", samples=samples)
@@ -342,6 +344,22 @@ def outcome(check, *args, **kwargs):
     return report, np.float64(report.max_residual).tobytes()
 
 
+def plan_caches():
+    return [obj for obj in vars(jets).values() if hasattr(obj, "cache_info")]
+
+
+def clear_plan_caches():
+    for cache in plan_caches():
+        cache.cache_clear()
+
+
+def cold_and_warm(check, *args, **kwargs):
+    """The outcomes of a call with emptied plan caches and of the same
+    call again."""
+    clear_plan_caches()
+    return [outcome(check, *args, **kwargs) for _ in range(2)]
+
+
 HEAT = ("u_t - u_xx", "u_t")
 TXPEQ = (constant_curvature_equation(1.0), "u_ttt")
 # the leading coefficient 0.0006 u_x is below 1e-3 on 5/6 of the draws, so
@@ -395,7 +413,8 @@ class TestColumnChecksMatchThePerSampleLoops:
         equation, leading = EQUATIONS[pde]
         equation = parse(equation) if isinstance(equation, str) else equation
         expected = outcome(reference_lsc_check, GENERATORS[gen], equation, leading, seed=seed)
-        assert outcome(lsc_check, GENERATORS[gen], equation, leading, seed=seed) == expected
+        got = cold_and_warm(lsc_check, GENERATORS[gen], equation, leading, seed=seed)
+        assert got == [expected] * 2
 
     @pytest.mark.parametrize("equation", [name for name in EQUATIONS if name not in ("heat", "txpeq")])
     @pytest.mark.parametrize("gen", ["H1", "H4", "eta = sqrt(u)"] + RAISING)
@@ -404,7 +423,8 @@ class TestColumnChecksMatchThePerSampleLoops:
         equation = parse(equation) if isinstance(equation, str) else equation
         for seed in (42, 3, 11, 12):
             expected = outcome(reference_lsc_check, GENERATORS[gen], equation, leading, seed=seed)
-            assert outcome(lsc_check, GENERATORS[gen], equation, leading, seed=seed) == expected
+            got = cold_and_warm(lsc_check, GENERATORS[gen], equation, leading, seed=seed)
+            assert got == [expected] * 2
 
     def test_cases_reach_every_stage(self):
         # the cases above are only evidence if the reference meets what they name
@@ -438,7 +458,71 @@ class TestColumnChecksMatchThePerSampleLoops:
     def test_invariant_cases(self, gen, function, seed):
         gen = GENERATORS.get(gen) or parse_generator(gen)
         expected = outcome(reference_invariance_check, gen, parse(function), seed=seed)
-        assert outcome(invariance_check, gen, parse(function), seed=seed) == expected
+        assert cold_and_warm(invariance_check, gen, parse(function), seed=seed) == [expected] * 2
+
+
+class TestPlanCaches:
+    def test_not_affine_comes_before_the_prolongation_error(self):
+        # u_xxxx is past the prolongation's order; the probe runs first
+        h6 = HEAT_GENERATORS["H6"]
+        cases = [
+            ("u_t^2 - u_xxxx", UnsupportedEquationError, "not affine"),
+            ("u_t - u_xxxx", OrderOverflowError, "exceeds jet order"),
+        ]
+        for text, error, message in cases:
+            clear_plan_caches()
+            for _ in range(2):
+                with pytest.raises(error, match=message):
+                    lsc_check(h6, parse(text), "u_t", samples=5)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ("xi_t = -0; xi_x = 1", "xi_t = 0; xi_x = 1"),
+            # equal trees, but each raises a message naming its own zero
+            ("eta = ln(-0)", "eta = ln(0)"),
+        ],
+    )
+    @pytest.mark.parametrize("pde", ["heat", "txpeq"])
+    def test_signed_zeros_do_not_share_a_plan(self, texts, pde):
+        gens = [parse_generator(text) for text in texts]
+        assert gens[0] == gens[1]
+        equation, leading = EQUATIONS[pde]
+        equation = parse(equation) if isinstance(equation, str) else equation
+        expected = [outcome(reference_lsc_check, gen, equation, leading, samples=20) for gen in gens]
+        for order in ([0, 1], [1, 0]):
+            clear_plan_caches()
+            for k in order:
+                assert outcome(lsc_check, gens[k], equation, leading, samples=20) == expected[k]
+        if pde == "heat" and texts[1] == "eta = ln(0)":
+            assert expected[0] != expected[1]  # the case is evidence here
+
+    def test_reparsed_inputs_hit(self):
+        clear_plan_caches()
+        for _ in range(2):
+            equation, leading = equation_for("txpeq", 0.5)
+            lsc_check(parse_generator("xi_t = t^2"), equation, leading, samples=5)
+            invariance_check(parse_generator("eta = u"), parse("u/t"), samples=5)
+        for cache in plan_caches():
+            info = cache.cache_info()
+            assert (info.hits, info.misses) == (1, 1), cache
+
+    def test_caches_stay_within_their_bound(self):
+        # new generators in one long-lived process, with no cache ever cleared
+        clear_plan_caches()
+        for k in range(CACHED_INPUTS + 10):
+            gen = parse_generator(f"xi_t = {k + 1}*t; xi_x = x")
+            lsc_check(gen, heat_equation(), "u_t", samples=2)
+            invariance_check(gen, parse("x"), samples=2)
+        caches = plan_caches()
+        assert {cache.__name__ for cache in caches} == {
+            "_leading_plan", "_action_tape", "_invariance_tape"
+        }
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize == CACHED_INPUTS
+            assert info.currsize <= info.maxsize
+        assert jets._action_tape.cache_info().currsize == CACHED_INPUTS
 
 
 class TestNoGeneratorPerSample:
@@ -502,6 +586,12 @@ class TestInvariance:
         report = invariance_check(HEAT_GENERATORS["H3"], f, seed=42)
         assert not report.passed
         assert np.isnan(report.max_residual)
+
+    @pytest.mark.parametrize("samples", [2.5, 0, -5])
+    def test_sample_count_must_be_a_positive_integer(self, samples):
+        # not a FAIL report on no rows, nor a report on 3 rows for 2.5
+        with pytest.raises(ValueError, match="positive integer"):
+            invariance_check(HEAT_GENERATORS["H4"], parse("x/sqrt(t)"), samples=samples)
 
     def test_overflowing_samples_are_skipped(self):
         # exp(400+t)^2 overflows from finite operands at every sample

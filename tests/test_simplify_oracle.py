@@ -159,7 +159,13 @@ def reference_simplify(e: Expr) -> Expr:
 
 # -- every simplify input and derivative of the symbolic pipelines -----------
 
-_CACHED = (geometry.resolved_potential, geometry.fisher_metric)
+_CACHED = (
+    geometry.resolved_potential,
+    geometry.fisher_metric,
+    jets._leading_plan,
+    jets._action_tape,
+    jets._invariance_tape,
+)
 
 def _coefficients(gen: jets.GeneratorField) -> tuple[Expr, ...]:
     return (gen.xi_t, gen.xi_x, gen.eta)
@@ -304,12 +310,18 @@ class TestSimplifyOnlyAtEntry:
             return simplify(e)
 
         monkeypatch.setattr(jets, "simplify", counting)
+        for cached in _CACHED:
+            cached.cache_clear()
         x4 = jets.CURVATURE_GENERATORS["X4"]
         jets.prolong(x4, 3)
         assert len(calls) == 0
         equation, leading = jets.equation_for("txpeq", 0.5)
         jets.lsc_check(x4, equation, leading, samples=3)
         assert len(calls) <= 2
+        # the plan is cached: an identical call simplifies nothing
+        calls.clear()
+        jets.lsc_check(x4, equation, leading, samples=3)
+        assert len(calls) == 0
 
 
 def _random_trees(st):

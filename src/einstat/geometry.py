@@ -10,7 +10,12 @@ curvature tensor is
 Contractions with the inverse metric are performed numerically at the
 evaluation point.  A second, independent route computes curvature from an
 arbitrary symmetric metric via Levi-Civita Christoffel symbols; both
-routes must agree for metrics that come from a potential.
+routes must agree for metrics that come from a potential.  Its Christoffel
+sums contract a stack of points at once, with a leading point axis: at one
+point (``ricci_from_metric``) a stack of one, and over a sample set
+(``ricci_over_points``) every point before the first that fails.  Each
+contracted operand is C-contiguous, which makes every row of a stack bit
+for bit the same point contracted alone.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -340,14 +345,28 @@ def _cubic_tape(spec: PotentialSpec):
     return compile_family(cubic_tensor(spec).sorted_components())
 
 
+def _singular_errors(g: np.ndarray) -> Iterator[SingularMetricError | None]:
+    """For each metric of the stack ``g[p]`` in turn, the error that it is
+    numerically singular, or None.
+
+    A metric is singular when its scale ``max |g_ij|`` is zero or
+    ``|det g| <= SINGULARITY_THRESHOLD * scale ** n``, with Python's ``**``,
+    which raises OverflowError for that metric.
+    """
+    n = g.shape[-1]
+    for det, scale in zip(np.linalg.det(g).tolist(), np.abs(g).max(axis=(-2, -1)).tolist()):
+        if scale == 0.0 or abs(det) <= SINGULARITY_THRESHOLD * scale ** n:
+            yield SingularMetricError(
+                f"metric is numerically singular (det={det:.3e}, scale={scale:.3e})"
+            )
+        else:
+            yield None
+
+
 def _checked_inverse(g: np.ndarray) -> np.ndarray:
-    n = g.shape[0]
-    scale = float(np.max(np.abs(g)))
-    det = float(np.linalg.det(g))
-    if scale == 0.0 or abs(det) <= SINGULARITY_THRESHOLD * scale ** n:
-        raise SingularMetricError(
-            f"metric is numerically singular (det={det:.3e}, scale={scale:.3e})"
-        )
+    error = next(_singular_errors(g[None]))
+    if error is not None:
+        raise error
     return np.linalg.inv(g)
 
 
@@ -379,10 +398,15 @@ def alpha_curvature(spec: PotentialSpec, alpha: float, point: Point) -> Curvatur
     return _bundle_from_riemann(point, alpha, riemann, g, ginv)
 
 
+def _ricci(riemann: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """``Ric_ij = R_iklj g^kl``, at one point or at each of a stack."""
+    return np.einsum("...iklj,...kl->...ij", riemann, ginv)
+
+
 def _bundle_from_riemann(
     point: Point, alpha: float, riemann: np.ndarray, g: np.ndarray, ginv: np.ndarray
 ) -> CurvatureBundle:
-    ricci = np.einsum("iklj,kl->ij", riemann, ginv)
+    ricci = _ricci(riemann, ginv)
     scalar = float(np.einsum("ij,ij->", ricci, ginv))
     n = g.shape[0]
     sectional = {}
@@ -418,57 +442,125 @@ def _levi_civita_tape(metric: MetricField):
     return compile_family(metric.upper_entries() + first + second)
 
 
-def ricci_from_metric(metric: MetricField, point: Point) -> CurvatureBundle:
-    """Curvature of the Levi-Civita connection of ``metric`` at one point.
+def _tape_metrics(values: np.ndarray, n: int) -> np.ndarray:
+    """The metric ``g`` at each row ``values[p]`` of the Levi-Civita tape."""
+    upper, index = _symmetric_index(n, 2)
+    return np.ascontiguousarray(values[:, :len(upper)][:, index])
+
+
+def _christoffel_riemann(values: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """``R_klij`` at each row ``values[p]`` of the Levi-Civita tape, whose
+    metric ``g[p]`` has the inverse ``ginv[p]``.
 
     Uses Christoffel symbols of the metric, the component formula
 
         R^l_kij = d_i G^l_kj - d_j G^l_ki + G^h_kj G^l_hi - G^h_ki G^l_hj,
 
-    the lowering ``R_klij = R^s_kij g_sl``, and the contraction
-    ``Ric_ij = R_iklj g^kl``.  Derivatives of the inverse metric are
-    obtained from ``d g^-1 = -g^-1 (d g) g^-1`` so no symbolic matrix
-    inverse is ever formed.
+    and the lowering ``R_klij = R^s_kij g_sl``.  Derivatives of the inverse
+    metric are obtained from ``d g^-1 = -g^-1 (d g) g^-1`` so no symbolic
+    matrix inverse is ever formed.
+
+    Every operand of an ``einsum`` is C-contiguous: numpy's summation order
+    follows the operands' strides, and only with contiguous operands is each
+    row of a stack bit for bit the same row contracted alone.
+    """
+    rows, n = len(values), g.shape[-1]
+    upper, index = _symmetric_index(n, 2)
+    t = len(upper)
+    # dg[p, k, i, j] = d_k g_ij and ddg[p, l, k, i, j] = d_l d_k g_ij
+    dg = np.ascontiguousarray(values[:, t:t + n * t].reshape(rows, n, t)[:, :, index])
+    ddg = np.ascontiguousarray(values[:, t + n * t:].reshape(rows, n, n, t)[:, :, :, index])
+
+    # Christoffel symbols: Gamma_{ij,m} = (d_i g_jm + d_j g_im - d_m g_ij)/2,
+    # the transposes reading dg[j, i, m] and dg[m, i, j] at [i, j, m]
+    g1 = np.ascontiguousarray(
+        0.5 * (dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1))
+    )
+    # second kind: G2[l, i, j] = g^{lm} Gamma_{ij,m}
+    g2 = np.einsum("plm,pijm->plij", ginv, g1)
+
+    # d_i Gamma_{kj,m} from second derivatives of g, at dgamma1[i, k, j, m]:
+    # (ddg[i, k, j, m] + ddg[i, j, k, m] - ddg[i, m, k, j])/2
+    dgamma1 = np.ascontiguousarray(
+        0.5 * (ddg + ddg.transpose(0, 1, 3, 2, 4) - ddg.transpose(0, 1, 3, 4, 2))
+    )
+    # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
+    dginv = -np.einsum("pla,piab,pbm->pilm", ginv, dg, ginv)
+    # d_i G2[l, k, j]
+    dg2 = np.einsum("pilm,pkjm->pilkj", dginv, g1) + np.einsum(
+        "plm,pikjm->pilkj", ginv, dgamma1
+    )
+
+    # R^l_kij
+    rup = (
+        np.einsum("pilkj->plkij", dg2)
+        - np.einsum("pjlki->plkij", dg2)
+        + np.einsum("phkj,plhi->plkij", g2, g2)
+        - np.einsum("phki,plhj->plkij", g2, g2)
+    )
+    return np.einsum("pskij,psl->pklij", rup, g)
+
+
+def ricci_from_metric(metric: MetricField, point: Point) -> CurvatureBundle:
+    """Curvature of the Levi-Civita connection of ``metric`` at one point:
+    the Riemann tensor of :func:`_christoffel_riemann` and the contraction
+    ``Ric_ij = R_iklj g^kl``.
+
+    Outside the domain it raises DomainError; where the tape raises, a
+    singular metric is reported before the tape's error.
     """
     if not metric.in_domain(point):
         raise DomainError("point violates the domain constraints", metric.entries[0][0])
-    n = metric.dimension
     try:
-        values = np.array(_levi_civita_tape(metric)(metric.bindings(point)))
+        values = np.array([_levi_civita_tape(metric)(metric.bindings(point))])
     except ExpressionError:
         # a singular metric is reported before a derivative that fails
         _checked_inverse(metric.evaluate(point))
         raise
-    upper, index = _symmetric_index(n, 2)
-    t = len(upper)
-    g = values[:t][index]
-    ginv = _checked_inverse(g)
-    dg = values[t:t + n * t].reshape(n, t)[:, index]           # dg[k, i, j] = d_k g_ij
-    ddg = values[t + n * t:].reshape(n, n, t)[:, :, index]     # ddg[l, k, i, j] = d_l d_k g_ij
+    g = _tape_metrics(values, metric.dimension)
+    ginv = _checked_inverse(g[0])[None]
+    riemann = _christoffel_riemann(values, g, ginv)
+    return _bundle_from_riemann(point, 0.0, riemann[0], g[0], ginv[0])
 
-    # Christoffel symbols: Gamma_{ij,m} = (d_i g_jm + d_j g_im - d_m g_ij)/2,
-    # the transposes reading dg[j, i, m] and dg[m, i, j] at [i, j, m]
-    g1 = 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-    # second kind: G2[l, i, j] = g^{lm} Gamma_{ij,m}
-    g2 = np.einsum("lm,ijm->lij", ginv, g1)
 
-    # d_i Gamma_{kj,m} from second derivatives of g, at dgamma1[i, k, j, m]:
-    # (ddg[i, k, j, m] + ddg[i, j, k, m] - ddg[i, m, k, j])/2
-    dgamma1 = 0.5 * (ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1))
-    # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
-    dginv = -np.einsum("la,iab,bm->ilm", ginv, dg, ginv)
-    # d_i G2[l, k, j]
-    dg2 = np.einsum("ilm,kjm->ilkj", dginv, g1) + np.einsum("lm,ikjm->ilkj", ginv, dgamma1)
+def ricci_over_points(
+    metric: MetricField, points: Sequence[Point]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ExpressionError | None]:
+    """:func:`ricci_from_metric` over a set of points, up to the first
+    point where it raises: the metric, Riemann and Ricci tensors at each
+    point before that one, stacked and bit for bit its bundles', and the
+    :class:`ExpressionError` it raises there (None where it raises none;
+    any other error is raised).
 
-    # R^l_kij
-    rup = (
-        np.einsum("ilkj->lkij", dg2)
-        - np.einsum("jlki->lkij", dg2)
-        + np.einsum("hkj,lhi->lkij", g2, g2)
-        - np.einsum("hki,lhj->lkij", g2, g2)
-    )
-    riemann = np.einsum("skij,sl->klij", rup, g)
-    return _bundle_from_riemann(point, 0.0, riemann, g, ginv)
+    One column run of the constraint tape and one of the Levi-Civita tape
+    cover every point.  A point fails outside the domain, where the tape
+    raises, or where its metric is singular; the Christoffel sums run once
+    over the points before the first failing one (``np.linalg.inv`` raises
+    for a whole stack that holds one exactly singular metric), and the
+    error at that point is :func:`ricci_from_metric`'s own.
+    """
+    block = np.array(list(points), dtype=float)
+    columns = metric.column_bindings(block)
+    values, failed = _levi_civita_tape(metric).columns(columns)
+    values = values.T
+    g = _tape_metrics(values, metric.dimension)
+    bad = ~metric.in_domain_columns(columns)
+    bad[list(failed)] = True
+    stop = int(np.argmax(bad)) if bad.any() else len(g)
+    # the singular metrics, before the first point outside or where the tape
+    # raises, in point order: an OverflowError of the test is raised here
+    stop = next((row for row, error in enumerate(_singular_errors(g[:stop])) if error), stop)
+    g = g[:stop]
+    ginv = np.linalg.inv(g)
+    riemann = _christoffel_riemann(values[:stop], g, ginv)
+    error = None
+    if stop < len(block):
+        try:
+            ricci_from_metric(metric, block[stop].tolist())
+        except ExpressionError as exc:
+            # without its traceback, which holds this frame and so the stacks
+            error = exc.with_traceback(None)
+    return g, riemann, _ricci(riemann, ginv), error
 
 
 def einstein_residual(

@@ -9,6 +9,7 @@ from einstat import catalog, cli
 from einstat.catalog import (
     CHECK_EINSTEIN,
     CHECK_PDE_RESIDUAL,
+    EINSTEIN_TOL,
     entry_names,
     entry_to_dict,
     export_catalog,
@@ -18,9 +19,33 @@ from einstat.catalog import (
     verify_all,
     verify_entry,
 )
-from einstat.expressions import DomainError
-from einstat.geometry import PotentialSpec, SingularMetricError, fisher_metric
+from einstat.expressions import DomainError, ExpressionError, worst_residual
+from einstat.geometry import (
+    MetricField,
+    PotentialSpec,
+    SingularMetricError,
+    fisher_metric,
+    ricci_from_metric,
+)
 from einstat.planar import r1212, sample_points
+
+
+def einstein_by_point(entry, seed):
+    """The Einstein check of a direct-metric entry, point by point: whether
+    it passes, and its detail."""
+    residuals, failure = [], None
+    try:
+        for pt in sample_points(entry.metric, entry.box, entry.samples, seed=seed):
+            bundle = ricci_from_metric(entry.metric, pt)
+            res = bundle.ricci + entry.expected_lambda * bundle.metric
+            residuals.append(float(np.max(np.abs(res))))
+    except ExpressionError as exc:
+        failure = str(exc)
+    detail = {"max_residual": worst_residual(residuals)}
+    if failure:
+        detail["error"] = failure
+    return failure is None and detail["max_residual"] < EINSTEIN_TOL, detail
+
 
 INVARIANT_NAMES = [
     "invariant-X4aX2",
@@ -106,6 +131,35 @@ class TestVerification:
         report = verify_entry("weibull-metric")
         assert not report.passed
         assert "could not draw 100 in-domain points" in report.checks[0].detail["error"]
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_einstein_check_is_the_point_by_point_check(self, seed):
+        report = verify_entry("weibull-metric", seed=seed)
+        check = report.checks[0]
+        expected = einstein_by_point(get_entry("weibull-metric"), seed)
+        assert (check.passed, check.detail) == expected
+        assert check.passed
+
+    # a metric whose tape raises at some of the points, and one that is
+    # singular everywhere: the check reports the first point's error and
+    # the worst residual before it, as point by point
+    @pytest.mark.parametrize(
+        "entries, seed, message",
+        [
+            # nine points come before the first with t < 1
+            ([["x^2/t^2", "0"], ["0", "sqrt(t - 1) + 1"]], 4,
+             "sqrt of negative value in 'sqrt(theta1 - 1)'"),
+            ([["1", "1"], ["1", "1"]], 1,
+             "metric is numerically singular (det=0.000e+00, scale=1.000e+00)"),
+        ],
+    )
+    def test_einstein_check_of_a_failing_metric(self, monkeypatch, entries, seed, message):
+        metric = MetricField.create(entries, constraints=["t", "x"], name="weibull-metric")
+        entry = dataclasses.replace(get_entry("weibull-metric"), metric=metric)
+        monkeypatch.setitem(catalog._ENTRIES, "weibull-metric", entry)
+        check = verify_entry("weibull-metric", seed=seed).checks[0]
+        assert (check.passed, check.detail) == einstein_by_point(entry, seed)
+        assert check.detail["error"] == message
 
     # the stored checks on a set of points where a tape raises, or where
     # the metric is singular: the first error in check order, then in point

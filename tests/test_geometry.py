@@ -26,6 +26,7 @@ from einstat.geometry import (
     fisher_metric,
     resolved_constraints,
     ricci_from_metric,
+    ricci_over_points,
 )
 from einstat.planar import CONVEX, convexity_check, r1212, sample_points
 from test_simplify_oracle import _random_trees
@@ -407,6 +408,24 @@ def outcome(fn, *args):
     return value.tobytes() if isinstance(value, np.ndarray) else value
 
 
+def curvature_outcome(metric, point):
+    """The bytes of ``ricci_from_metric``'s g, Riemann and Ricci tensors at
+    the point, or its error's type and text."""
+    try:
+        bundle = ricci_from_metric(metric, point)
+    except ExpressionError as exc:
+        return type(exc), str(exc)
+    return bundle.metric.tobytes(), bundle.riemann.tobytes(), bundle.ricci.tobytes()
+
+
+def stacked_outcomes(metric, points):
+    """``ricci_over_points`` as the outcomes of :func:`curvature_outcome`:
+    one for each row it contracted, then its error, if any."""
+    g, riemann, ricci, error = ricci_over_points(metric, points)
+    rows = [(g[p].tobytes(), riemann[p].tobytes(), ricci[p].tobytes()) for p in range(len(g))]
+    return rows + ([] if error is None else [(type(error), str(error))])
+
+
 def scaling_metric(n, seed):
     """Fisher metric of ``sum exp(theta_i) - ln(linear form)`` whose domain
     adds ``sqrt(theta1)``, a constraint that raises wherever theta1 < 0."""
@@ -452,7 +471,7 @@ class TestCompiledMetricRoutes:
         metric = MetricField.create([["x^1.5", "0"], ["0", "x^1.5"]])
         with pytest.raises(SingularMetricError):
             ricci_from_metric(metric, (1.0, 0.0))
-        self.assert_walked(metric, [(1.0, 0.0), (1.0, 2.0)])
+        self.assert_walked(metric, [(1.0, 0.0), (1.0, 2.0), (2.0, 0.5)])
 
     @staticmethod
     def assert_walked(metric, points):
@@ -464,6 +483,19 @@ class TestCompiledMetricRoutes:
             riemann = outcome(lambda p: ricci_from_metric(metric, p).riemann, pt)
             assert riemann == outcome(walked_riemann, metric, pt)
         assert 0 < inside
+
+        # over all the points at once: each contracted row is bit for bit the
+        # point's own, up to the first point that fails, whose error it reports
+        each = [curvature_outcome(metric, pt) for pt in points]
+        failed = [isinstance(o[0], type) for o in each]
+        first = failed.index(True) + 1 if True in failed else len(each)
+        assert stacked_outcomes(metric, points) == each[:first]
+        # and over the points that do not fail, as one stack of two or more
+        # rows, whose rows differ in the last bits where the Christoffel
+        # sums contract strided operands
+        kept = [pt for pt, bad in zip(points, failed) if not bad]
+        assert len(kept) >= 2
+        assert stacked_outcomes(metric, kept) == [o for o, bad in zip(each, failed) if not bad]
 
 
 class TestRouteAgreement:

@@ -71,6 +71,8 @@ CHECK_BOX = "-1,1,-1,1"
 CHECK_SAMPLES = 100
 #: Sampled points of ``curvature`` without ``--grid``.
 CURVATURE_SAMPLES = 20
+#: ``curvature --expr`` default box; ``curvature --catalog`` takes its entry's own.
+CURVATURE_BOX = "-1,1,-2,-0.1"
 
 
 class UsageError(Exception):
@@ -206,10 +208,13 @@ def _curvature_record(pt, bundle) -> dict:
 def _cmd_curvature(args) -> int:
     if args.grid and args.samples is not None:
         raise UsageError("--samples cannot be used with --grid: the grid sets the points")
-    box = _parse_box(args.box)
+    entry = get_entry(args.catalog) if args.catalog is not None and args.expr is None else None
+    if args.box is not None:
+        box = _parse_box(args.box)
+    else:
+        box = entry.box if entry is not None else _parse_box(CURVATURE_BOX)
     results = []
     csv_rows = []
-    entry = get_entry(args.catalog) if args.catalog is not None and args.expr is None else None
     if entry is not None and entry.kind == "direct-metric":
         if args.alpha != 0:
             raise UsageError(f"--alpha needs a potential; '{args.catalog}' is a direct metric")
@@ -404,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="rows,cols grid instead of sampling")
     p.add_argument("--samples", type=_positive_int,
                    help=f"sample count without --grid (default {CURVATURE_SAMPLES})")
-    _add_common(p, box_default="-1,1,-2,-0.1")
-    p.set_defaults(handler=_cmd_curvature)
+    _add_common(p, box_default=CURVATURE_BOX)
+    p.set_defaults(handler=_cmd_curvature, box=None)
 
     p = commands.add_parser("check", help="Einstein / constant-curvature residual suite")
     p.add_argument("--expr", help="inline potential in t, x")

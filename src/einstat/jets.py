@@ -281,12 +281,15 @@ _RESAMPLE_LIMIT = 64
 
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 #: numpy's ``SeedSequence`` hash constants and the ``PCG64`` multiplier
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: the stream of ``lsc_check``'s affinity probe, ``[seed, 0xAFF1]``
+_PROBE_STREAM = 0xAFF1
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -301,80 +304,152 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _stream_states(seed: int, indices: np.ndarray) -> list[tuple[int, int]]:
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The ``SeedSequence`` hash constants of ``calls`` hashes in a row, as a
+    column: hash ``k`` xors by row ``k`` and multiplies by row ``k + 1``."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _halves(values) -> np.ndarray:
+    """128-bit integers as a ``(2, len)`` uint64 array: high halves, then low."""
+    return np.array([[v >> 64 for v in values], [v & _MASK64 for v in values]], dtype=np.uint64)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * b`` of uint64 arrays,
+    from the four products of their 32-bit limbs (no sum below overflows)."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    upper = a1 * b0 + (a0 * b0 >> 32)
+    middle = (upper & _MASK32) + a0 * b1
+    return a1 * b1 + (upper >> 32) + (middle >> 32)
+
+
+def _mul(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a * b mod 2**128`` on (high, low) pairs of uint64 arrays."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    return _mulhi(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b mod 2**128`` on (high, low) pairs of uint64 arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+#: ``M**n`` and ``1 + M + ... + M**(n - 1)`` mod 2**128 for ``n`` below its
+#: length, with ``M`` the ``PCG64`` multiplier, as a ``(2, 2, length)``
+#: uint64 array of their (high, low) halves; built by :func:`_jumps` on
+#: first use and rebuilt longer when a draw needs it.  It only ever holds
+#: these constants, so no call sees another's effect but its speed.
+_JUMP_TABLE = np.zeros((2, 2, 0), dtype=np.uint64)
+
+
+def _jumps(first: int, end: int) -> np.ndarray:
+    """The jump constants of ``n = first .. end - 1`` steps.
+
+    A state ``s`` steps to ``M * s + inc``, so ``n`` steps take it to
+    ``M**n * s + (1 + M + ... + M**(n - 1)) * inc``.  The table's length is
+    a power of two, at least 256, so it is rebuilt a few times at most.
+    """
+    global _JUMP_TABLE
+    if _JUMP_TABLE.shape[-1] < end:
+        powers, sums = [], []
+        power, total = 1, 0
+        for _ in range(max(256, 1 << (end - 1).bit_length())):
+            powers.append(power)
+            sums.append(total)
+            power, total = power * _PCG64_MULT & _MASK128, total + power & _MASK128
+        _JUMP_TABLE = np.stack([_halves(powers), _halves(sums)])
+    return _JUMP_TABLE[..., first:end]
+
+
+def _stream_states(seed: int, indices) -> np.ndarray:
     """The ``PCG64`` ``(state, inc)`` of ``np.random.default_rng([seed, i])``
-    for every ``i`` of ``indices`` (each below 2**32), derived at once.
+    for every ``i`` of ``indices``, as a ``(2, 2, len(indices))`` uint64
+    array: the state's (high, low) halves, then the increment's.
 
     This is numpy's ``SeedSequence`` pool hashing, over a uint32 column per
-    pool word, then ``pcg64_set_seed`` on each ``generate_state(4, uint64)``.
+    pool word, then ``pcg64_set_seed`` on each ``generate_state(4, uint64)``
+    in 128-bit column arithmetic.  Each index must lie in ``[0, 2**32)``,
+    one ``SeedSequence`` word, or ``ValueError`` is raised.
     """
-    hash_const = _HASH_INIT_A
+    indices = np.asarray(indices)
+    if indices.size and (
+        indices.dtype.kind not in "iu" or indices.min() < 0 or indices.max() > _MASK32
+    ):
+        raise ValueError("stream indices must be integers in [0, 2**32)")
+    pool_size = 4  # numpy's default
+    words = _uint32_words(seed) + [indices.astype(np.uint32)]
+    entropy = np.zeros((max(len(words), pool_size), indices.size), dtype=np.uint32)
+    for row, word in enumerate(words):
+        entropy[row] = word
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _HASH_MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ value >> np.uint32(16)
+    def hashmix(value, consts):
+        value = (value ^ consts[:-1]) * consts[1:]
+        return value ^ value >> 16
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> np.uint32(16)
+        return result ^ result >> 16
 
-    entropy = [np.uint32(word) for word in _uint32_words(seed)]
-    entropy.append(np.asarray(indices, dtype=np.uint32))
-    pool_size = 4  # numpy's default
-    with np.errstate(over="ignore"):
-        padded = entropy + [np.uint32(0)] * (pool_size - len(entropy))
-        pool = [hashmix(word) for word in padded[:pool_size]]
-        for src in range(pool_size):
-            for dst in range(pool_size):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[pool_size:]:
-            for dst in range(pool_size):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        hash_const = _HASH_INIT_B
-        state = []
-        for k in range(8):
-            value = pool[k % pool_size] ^ np.uint32(hash_const)
-            hash_const = hash_const * _HASH_MULT_B & _MASK32
-            value = value * np.uint32(hash_const)
-            state.append(value ^ value >> np.uint32(16))
-    # little-endian pairs of words make the four uint64 of the state
-    words = [column.astype(np.uint64) for column in state]
-    seeds = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-    out = []
-    for s0, s1, i0, i1 in zip(*seeds):
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        # from state 0: step (to inc), add the seed, step
-        out.append((((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return out
+    # numpy's mix_entropy, its hashes of one source word into the other pool
+    # words done at once: a hash's constants depend only on its position
+    consts = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, pool_size * len(entropy))
+    pool = hashmix(entropy[:pool_size], consts[:pool_size + 1])
+    calls = pool_size
+    for src in range(pool_size):
+        others = [dst for dst in range(pool_size) if dst != src]
+        pool[others] = mix(pool[others], hashmix(pool[src], consts[calls:calls + pool_size]))
+        calls += pool_size - 1
+    for word in entropy[pool_size:]:
+        pool = mix(pool, hashmix(word, consts[calls:calls + pool_size + 1]))
+        calls += pool_size
+    # generate_state(4, uint64): eight words, cycling through the pool
+    state = hashmix(pool[np.arange(8) % pool_size], _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8))
+    # little-endian pairs of words make the four uint64 of the seed: the
+    # initial state's halves, then the stream's
+    state = state.astype(np.uint64)
+    generated = state[0::2] | state[1::2] << 32
+    initial = generated[:2]
+    inc = (generated[2] << 1 | generated[3] >> 63, generated[3] << 1 | 1)
+    # from state 0: step (to inc), add the initial state, step
+    state = _add(_mul(_halves([_PCG64_MULT]), _add(inc, initial)), inc)
+    return np.array([state, inc])
 
 
-def _stream_draws(seed: int, indices: np.ndarray, count: int) -> np.ndarray:
-    """``np.random.default_rng([seed, i]).uniform(-2.0, 2.0, count)`` for
-    every ``i`` of ``indices``, one row each, bit for bit: numpy's own
-    ``random`` doubles ``r`` from states derived at once
-    (:func:`_stream_states`), scaled together at the end.
+def _stream_block(streams: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Draws ``first .. first + count - 1`` of each stream of ``streams``
+    (as :func:`_stream_states` gives them), one row per stream, as
+    ``np.random.default_rng([seed, i]).uniform(-2.0, 2.0, first + count)[first:]``
+    gives them, bit for bit.
 
-    ``uniform`` computes ``low + (high - low) * r`` per double.  Here
-    ``high - low = 4`` is a power of two, so the product is exact, and one
-    multiply and one add over the whole array give the same doubles.
+    Draw ``k`` is the output of the state ``k + 1`` steps on, reached in one
+    jump (:func:`_jumps`) for every (stream, draw) pair at once.  The
+    output is ``PCG64``'s XSL-RR, the high half xor the low one rotated
+    right by the state's top six bits, and the double is numpy's
+    ``r = (out >> 11) * 2**-53`` scaled as ``uniform`` scales it,
+    ``low + (high - low) * r``; ``high - low = 4`` is a power of two, so
+    ``(out >> 11) * 2**-51`` is that product exactly.
     """
-    low, high = _SAMPLE_RANGE
-    bitgen = np.random.PCG64(0)  # each row sets its whole state
-    generator = np.random.Generator(bitgen)
-    out = np.empty((len(indices), count))
-    for row, (state, inc) in enumerate(_stream_states(seed, indices)):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.random(out=out[row])
-    return low + (high - low) * out
+    power, total = _jumps(first + 1, first + count + 1)
+    state, inc = streams[..., None]  # (stream, draw) grids by broadcasting
+    high, low = _add(_mul(power, state), _mul(total, inc))
+    out = high ^ low
+    turn = high >> 58
+    out = out >> turn | out << (64 - turn & 63)
+    lower, upper = _SAMPLE_RANGE
+    return lower + (out >> 11) * ((upper - lower) * 2.0**-53)
+
+
+def _stream_draws(seed: int, indices, count: int) -> np.ndarray:
+    """``np.random.default_rng([seed, i]).uniform(-2.0, 2.0, count)`` for
+    every ``i`` of ``indices``, one row each, bit for bit, computed in
+    closed form over the whole (stream, draw) grid: no ``numpy.random``
+    generator is built."""
+    return _stream_block(_stream_states(seed, indices), 0, count)
 
 
 def _relative_actions(values: np.ndarray) -> np.ndarray:
@@ -465,10 +540,13 @@ def lsc_check(
     reported relative to ``max(1, sum of |term|)`` so cancellation depth
     is what is measured.  Sample ``i`` draws its jet point from
     ``np.random.default_rng([seed, i])``, and a sample whose leading
-    coefficient is smaller than ``1e-3`` is redrawn from the same stream.
-    Every sample is evaluated at once, one column run per tape; the error
-    raised is that of the first failing sample.  The symbolic plan is
-    built once per input and cached.
+    coefficient is smaller than ``1e-3`` is redrawn from the same stream;
+    eight points of the stream ``[seed, 0xAFF1]`` first probe that ``F`` is
+    affine.  The streams' states are derived once per call, together, and
+    each redraw computes only its own block of draws (:func:`_stream_block`),
+    so no ``numpy.random`` generator is built.  Every sample is evaluated at
+    once, one column run per tape; the error raised is that of the first
+    failing sample.  The symbolic plan is built once per input and cached.
     """
     _check_samples(samples)
     if parse_jet_name(leading) is None:
@@ -476,8 +554,10 @@ def lsc_check(
     equation, second, leading_tape, base_tape = _leading_plan(equation, leading)
     names = jet_variables(MAX_JET_ORDER)
     width = len(names)
-    # eight points of one more stream, [seed, 0xAFF1], probe that F is affine
-    probe = _stream_draws(seed, np.array([0xAFF1]), 8 * width)
+    # the samples' streams, then the probe's, derived together
+    streams = _stream_states(seed, np.append(np.arange(samples), _PROBE_STREAM))
+    # eight points of the probe's stream probe that F is affine
+    probe = _stream_block(streams[..., samples:], 0, 8 * width)
     for point in probe.reshape(8, width).tolist():
         if abs(evaluate(second, dict(zip(names, point)))) > 1e-9:
             raise UnsupportedEquationError(
@@ -491,8 +571,8 @@ def lsc_check(
     failures: dict[int, ExpressionError] = {}  # leading coefficient errors and exhaustion
     pending = np.arange(samples)
     for depth in range(_RESAMPLE_LIMIT):
-        # draw number depth of each stream still pending: the last of depth + 1
-        draws[pending] = _stream_draws(seed, pending, width * (depth + 1))[:, -width:]
+        # draw number depth of each stream still pending, and only that one
+        draws[pending] = _stream_block(streams[..., pending], width * depth, width)
         values, errors = leading_tape.columns(dict(zip(names, draws[pending].T)))
         a[pending] = values[0]
         failures.update((int(pending[j]), exc) for j, exc in errors.items())
@@ -530,8 +610,9 @@ def invariance_check(
 ) -> InvarianceReport:
     """Check ``X(f) = 0`` for a function of (t, x, u) at random points.
 
-    Sample ``i`` is drawn from ``np.random.default_rng([seed, i])``, and
-    every sample is evaluated in one column run.  Domain failures (for
+    Sample ``i`` is ``np.random.default_rng([seed, i]).uniform(-2, 2, 3)``,
+    computed in closed form for all samples at once (:func:`_stream_draws`),
+    and every sample is evaluated in one column run.  Domain failures (for
     instance square roots of negative samples) are skipped and counted
     rather than raised.
     """

@@ -178,6 +178,22 @@ class TestCurvatureCommand:
         for record in payload["results"]:
             assert record["kappa"] == pytest.approx(-6 / math.pi ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["weibull-metric", "invariant-X8aX5"])
+    def test_catalog_entry_samples_its_own_box(self, capsys, name):
+        # neither entry has an in-domain point in the --expr default box
+        code, out, _ = run(capsys, "curvature", "--catalog", name, "--seed", "1")
+        assert code == 0
+        payload = json.loads(out)
+        box = get_entry(name).box
+        assert payload["input"]["box"] == list(box)
+        points = [tuple(r["point"]) for r in payload["results"]]
+        assert points == sample_points(get_entry(name).source(), box, 20, seed=1)
+
+    def test_expr_keeps_the_default_box(self, capsys):
+        code, out, _ = run(capsys, "curvature", "--expr", "t^2 + x^2", "--samples", "2")
+        assert code == 0
+        assert json.loads(out)["input"]["box"] == [-1.0, 1.0, -2.0, -0.1]
+
     def test_direct_metric_entry_accepts_alpha_zero(self, capsys):
         argv = ["curvature", "--catalog", "weibull-metric", "--samples", "3"]
         argv += ["--box", "0.5,3,0.5,3"]

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,10 +43,13 @@ from einstat.jets import (
     total_derivative,
 )
 from einstat.jets import (
+    _RESAMPLE_LIMIT,
     MAX_JET_ORDER,
     InvarianceReport,
     LscReport,
+    _stream_block,
     _stream_draws,
+    _stream_states,
 )
 
 
@@ -257,6 +265,29 @@ class TestStreamDraws:
     def test_negative_seed_is_numpys_error(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             _stream_draws(-1, np.arange(3), 3)
+
+
+class TestStreamBlocks:
+    ROWS = [0, 7, 199, 0xAFF1, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**96 + 5])
+    def test_each_block_is_the_tail_of_the_per_sample_generators_draws(self, seed):
+        # every redraw depth of a 17-wide jet point, then the probe's eight points
+        streams = _stream_states(seed, self.ROWS)
+        blocks = [(17 * d, 17) for d in range(_RESAMPLE_LIMIT)] + [(0, 8 * 17)]
+        for first, count in blocks:
+            block = _stream_block(streams, first, count)
+            for i, row in zip(self.ROWS, block):
+                expected = np.random.default_rng([seed, i]).uniform(-2, 2, first + count)
+                assert row.tobytes() == expected[first:].tobytes(), (seed, i, first)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[2**32 + 5], [-1], [2**32], [0, 2**64], np.array([2**32], dtype=np.uint64), [0.5]],
+    )
+    def test_indices_outside_one_seed_word_are_refused(self, indices):
+        with pytest.raises(ValueError, match=r"stream indices must be integers in \[0, 2\*\*32\)"):
+            _stream_draws(42, indices, 3)
 
 
 # The per-sample loops the column runs replaced, kept as the reference: one
@@ -539,13 +570,28 @@ class TestNoGeneratorPerSample:
             monkeypatch.setattr(np.random, name, counted)
         return counts
 
-    def test_lsc_check_builds_one_for_the_probe_and_one_for_the_samples(self, constructions):
+    def test_lsc_check_builds_no_bit_generator(self, constructions):
         lsc_check(CURVATURE_GENERATORS["X4"], constant_curvature_equation(1.0), "u_ttt", samples=200)
-        assert constructions == {"default_rng": 0, "SeedSequence": 0, "PCG64": 2}
+        assert constructions == {"default_rng": 0, "SeedSequence": 0, "PCG64": 0}
 
-    def test_invariance_check_builds_one_bit_generator(self, constructions):
+    def test_invariance_check_builds_no_bit_generator(self, constructions):
         invariance_check(HEAT_GENERATORS["H4"], parse("x/sqrt(t)"), samples=200)
-        assert constructions == {"default_rng": 0, "SeedSequence": 0, "PCG64": 1}
+        assert constructions == {"default_rng": 0, "SeedSequence": 0, "PCG64": 0}
+
+    def test_the_cli_checks_never_import_numpy_random(self):
+        script = (
+            "import sys\n"
+            "from einstat.cli import main\n"
+            "main(['symmetry', 'verify', '--pde', 'txpeq', '--gen', 'X4', '--seed', '3'])\n"
+            "main(['invariant', 'check', '--gen', 'H4', '--expr', 'x/sqrt(t)', '--seed', '3'])\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = pathlib.Path(jets.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestInvariance:

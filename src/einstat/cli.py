@@ -73,6 +73,8 @@ CHECK_SAMPLES = 100
 CURVATURE_SAMPLES = 20
 #: ``curvature --expr`` default box; ``curvature --catalog`` takes its entry's own.
 CURVATURE_BOX = "-1,1,-2,-0.1"
+#: ``convexity --expr`` default box; ``convexity --catalog`` scans its entry's own.
+CONVEXITY_BOX = "-1,1,-1,1"
 
 
 class UsageError(Exception):
@@ -90,6 +92,16 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
     if not all(map(math.isfinite, box)):
         raise UsageError(f"--box values must be finite (got {text!r})")
     return box  # type: ignore[return-value]
+
+
+def _box(args, expr_default: str) -> tuple[float, float, float, float]:
+    """``--box`` when given, else the ``--catalog`` entry's own box, else
+    ``expr_default``."""
+    if args.box is not None:
+        return _parse_box(args.box)
+    if args.catalog is not None and args.expr is None:
+        return get_entry(args.catalog).box
+    return _parse_box(expr_default)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -209,10 +221,7 @@ def _cmd_curvature(args) -> int:
     if args.grid and args.samples is not None:
         raise UsageError("--samples cannot be used with --grid: the grid sets the points")
     entry = get_entry(args.catalog) if args.catalog is not None and args.expr is None else None
-    if args.box is not None:
-        box = _parse_box(args.box)
-    else:
-        box = entry.box if entry is not None else _parse_box(CURVATURE_BOX)
+    box = _box(args, CURVATURE_BOX)
     results = []
     csv_rows = []
     if entry is not None and entry.kind == "direct-metric":
@@ -297,7 +306,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_convexity(args) -> int:
     spec, input_desc = _resolve_potential(args)
-    box = _parse_box(args.box)
+    box = _box(args, CONVEXITY_BOX)
     grid = _parse_grid(args.grid)
     report = convexity_scan(spec, box, grid)
     _emit(
@@ -375,17 +384,21 @@ def _cmd_catalog(args) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, box_default=None):
+def _add_common(sub, expr_box=None, catalog_box="with --catalog the entry's own box"):
+    """The flags every subcommand takes, and ``--box`` where ``expr_box``
+    is given: its default with ``--expr``; ``catalog_box`` says what
+    applies with ``--catalog``."""
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed (default 42)")
     sub.add_argument(
         "--format", choices=("json", "csv", "text"), default="json",
         help="output format (default json; csv for grids only)",
     )
     sub.add_argument("--out", default=None, help="write the report to this path")
-    if box_default is not None:
+    if expr_box is not None:
+        # None marks a box the user did not give; the handler picks the default
         sub.add_argument(
-            "--box", default=box_default,
-            help=f"t0,t1,x0,x1 sampling box (default {box_default})",
+            "--box", default=None,
+            help=f"t0,t1,x0,x1 box (default with --expr {expr_box}; {catalog_box})",
         )
 
 
@@ -409,23 +422,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="rows,cols grid instead of sampling")
     p.add_argument("--samples", type=_positive_int,
                    help=f"sample count without --grid (default {CURVATURE_SAMPLES})")
-    _add_common(p, box_default=CURVATURE_BOX)
-    p.set_defaults(handler=_cmd_curvature, box=None)
+    _add_common(p, expr_box=CURVATURE_BOX)
+    p.set_defaults(handler=_cmd_curvature)
 
     p = commands.add_parser("check", help="Einstein / constant-curvature residual suite")
     p.add_argument("--expr", help="inline potential in t, x")
     p.add_argument("--catalog", help="catalog entry name")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="curvature parameter")
-    p.add_argument("--samples", type=_positive_int, help=f"sample count (default {CHECK_SAMPLES})")
-    _add_common(p, box_default=CHECK_BOX)
+    p.add_argument(
+        "--samples", type=_positive_int,
+        help=f"sample count (default with --expr {CHECK_SAMPLES}; --catalog checks the entry's"
+        " own count and rejects --samples)",
+    )
     # None marks a flag the user did not give; _cmd_check fills in the defaults
-    p.set_defaults(handler=_cmd_check, box=None)
+    _add_common(
+        p, expr_box=CHECK_BOX, catalog_box="--catalog checks the entry's own box and rejects --box"
+    )
+    p.set_defaults(handler=_cmd_check)
 
     p = commands.add_parser("convexity", help="convexity scan over a box")
     p.add_argument("--expr", help="inline potential in t, x")
     p.add_argument("--catalog", help="catalog entry name")
     p.add_argument("--grid", default="20,20", help="rows,cols (default 20,20)")
-    _add_common(p, box_default="-1,1,-1,1")
+    _add_common(p, expr_box=CONVEXITY_BOX)
     p.set_defaults(handler=_cmd_convexity)
 
     p = commands.add_parser("symmetry", help="symmetry checks")

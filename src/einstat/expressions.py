@@ -854,39 +854,84 @@ def _call(func: str, arg: Expr) -> Expr:
 
 # -- differentiation ---------------------------------------------------------
 
-def _power_rule(e: Pow, name: str) -> Expr:
+def _power_rule(e: Pow, name: str, memo: dict) -> Expr:
     """For a constant exponent the power rule (valid for negative bases),
     otherwise the logarithmic form ``b^p (p' ln b + p b'/b)``."""
     b, p = e.base, e.exponent
-    db = differentiate(b, name)
+    db = _derive(b, name, memo)
     if isinstance(p, Num):
         return _mul(_mul(p, _pow(b, Num(p.value - 1.0))), db)
     if isinstance(p, Const):
         return _mul(_mul(p, _pow(b, _sub(p, ONE))), db)
-    dp = differentiate(p, name)
+    dp = _derive(p, name, memo)
     return _mul(e, _add(_mul(dp, _call("ln", b)), _div(_mul(p, db), b)))
 
 
 #: Derivative rule per operator, keyed as ``_TAPE_OPS``: the node's
-#: derivative by a variable, differentiating the operands it needs.
+#: derivative by a variable, differentiating the operands it needs by
+#: :func:`_derive` through the memo it is given.
 _DERIVATIVES: dict = {
-    Neg: lambda e, v: _neg(differentiate(e.arg, v)),
-    Add: lambda e, v: _add(differentiate(e.left, v), differentiate(e.right, v)),
-    Sub: lambda e, v: _sub(differentiate(e.left, v), differentiate(e.right, v)),
-    Mul: lambda e, v: _add(
-        _mul(differentiate(e.left, v), e.right), _mul(e.left, differentiate(e.right, v))
+    Neg: lambda e, v, m: _neg(_derive(e.arg, v, m)),
+    Add: lambda e, v, m: _add(_derive(e.left, v, m), _derive(e.right, v, m)),
+    Sub: lambda e, v, m: _sub(_derive(e.left, v, m), _derive(e.right, v, m)),
+    Mul: lambda e, v, m: _add(
+        _mul(_derive(e.left, v, m), e.right), _mul(e.left, _derive(e.right, v, m))
     ),
-    Div: lambda e, v: _div(
-        _sub(_mul(differentiate(e.left, v), e.right), _mul(e.left, differentiate(e.right, v))),
+    Div: lambda e, v, m: _div(
+        _sub(_mul(_derive(e.left, v, m), e.right), _mul(e.left, _derive(e.right, v, m))),
         _pow(e.right, Num(2.0)),
     ),
     Pow: _power_rule,
-    "exp": lambda e, v: _mul(e, differentiate(e.arg, v)),
-    "ln": lambda e, v: _div(differentiate(e.arg, v), e.arg),
-    "sqrt": lambda e, v: _div(differentiate(e.arg, v), _mul(Num(2.0), e)),
-    "sin": lambda e, v: _mul(_call("cos", e.arg), differentiate(e.arg, v)),
-    "cos": lambda e, v: _neg(_mul(_call("sin", e.arg), differentiate(e.arg, v))),
+    "exp": lambda e, v, m: _mul(e, _derive(e.arg, v, m)),
+    "ln": lambda e, v, m: _div(_derive(e.arg, v, m), e.arg),
+    "sqrt": lambda e, v, m: _div(_derive(e.arg, v, m), _mul(Num(2.0), e)),
+    "sin": lambda e, v, m: _mul(_call("cos", e.arg), _derive(e.arg, v, m)),
+    "cos": lambda e, v, m: _neg(_mul(_call("sin", e.arg), _derive(e.arg, v, m))),
 }
+
+
+class Differentiator:
+    """:func:`differentiate` over a family of trees, with one memo: each
+    distinct operator node (by identity) is differentiated once per
+    variable, however many trees or derivatives share it.
+
+    A derivative reuses its input's subtrees by reference, so derivatives
+    are DAGs, and a walk without the memo would differentiate a subtree
+    once per path to it.  The memo keeps every node it has differentiated,
+    so no id is reused while it lives.  Nothing it holds refers back to
+    it, so it makes no reference cycle and is freed as soon as its builder
+    drops it.
+    """
+
+    __slots__ = ("_memos",)
+
+    def __init__(self) -> None:
+        # per variable: id(node) -> (node, derivative)
+        self._memos: dict[str, dict[int, tuple[Expr, Expr]]] = {}
+
+    def __call__(self, e: Expr, name: str) -> Expr:
+        return _derive(e, name, self._memos.setdefault(name, {}))
+
+
+def _derive(e: Expr, name: str, memo: dict) -> Expr:
+    """``e``'s derivative by ``name``, through ``memo``, the
+    :class:`Differentiator`'s memo of ``name``."""
+    kind = type(e)  # the node types are final: no subclass to test for
+    if kind is Var:
+        return ONE if e.name == name else ZERO
+    if kind is Num or kind is Const:
+        return ZERO
+    done = memo.get(id(e))
+    if done is not None:
+        return done[1]
+    rule = _DERIVATIVES.get(_op(e))
+    if rule is None:
+        if isinstance(e, Call):
+            raise UnknownFunctionError(f"unknown function '{e.func}'", 0)
+        raise TypeError(f"not an expression: {e!r}")
+    result = rule(e, name, memo)
+    memo[id(e)] = (e, result)
+    return result
 
 
 def differentiate(e: Expr, name: str) -> Expr:
@@ -897,17 +942,13 @@ def differentiate(e: Expr, name: str) -> Expr:
     derivative of a simplified tree is simplified: :func:`simplify` would
     return an equal tree, and it need not be walked again.  An operator
     node's derivative is its rule in ``_DERIVATIVES``.
+
+    It is one call of a fresh :class:`Differentiator`, so each distinct
+    node of ``e`` is differentiated once per call; a builder of a family
+    of derivatives shares one :class:`Differentiator` over the family.
+    Either way the result is a pure function of the structure of ``e``.
     """
-    if isinstance(e, (Num, Const)):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == name else ZERO
-    rule = _DERIVATIVES.get(_op(e))
-    if rule is not None:
-        return rule(e, name)
-    if isinstance(e, Call):
-        raise UnknownFunctionError(f"unknown function '{e.func}'", 0)
-    raise TypeError(f"not an expression: {e!r}")
+    return Differentiator()(e, name)
 
 
 # -- simplification ----------------------------------------------------------

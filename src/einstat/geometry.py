@@ -29,13 +29,13 @@ import numpy as np
 
 from .expressions import (
     CACHED_INPUTS,
+    Differentiator,
     DomainError,
     Expr,
     ExpressionError,
     Num,
     Var,
     compile_family,
-    differentiate,
     evaluate,
     free_variables,
     parse,
@@ -302,12 +302,14 @@ class CurvatureBundle:
 
 @lru_cache(maxsize=CACHED_INPUTS)
 def fisher_metric(spec: PotentialSpec) -> MetricField:
-    """Hessian of the potential as a symbolic metric."""
+    """Hessian of the potential as a symbolic metric; both derivative
+    orders are taken through one :class:`Differentiator`."""
     psi = resolved_potential(spec)
     names = spec.variables
     n = spec.dimension
-    firsts = [differentiate(psi, v) for v in names]
-    upper = {(i, j): differentiate(firsts[i], names[j]) for i, j in _symmetric_index(n, 2)[0]}
+    d = Differentiator()
+    firsts = [d(psi, v) for v in names]
+    upper = {(i, j): d(firsts[i], names[j]) for i, j in _symmetric_index(n, 2)[0]}
     entries = tuple(
         tuple(upper[(min(i, j), max(i, j))] for j in range(n)) for i in range(n)
     )
@@ -315,12 +317,14 @@ def fisher_metric(spec: PotentialSpec) -> MetricField:
 
 
 def cubic_tensor(spec: PotentialSpec) -> CubicTensor:
-    """Third mixed partials of the potential, shared across permutations."""
+    """Third mixed partials of the potential, shared across permutations
+    and taken through one :class:`Differentiator`."""
     metric = fisher_metric(spec)
     names = spec.variables
     n = spec.dimension
+    d = Differentiator()
     by_sorted_index = {
-        (i, j, k): differentiate(metric.entries[i][j], names[k])
+        (i, j, k): d(metric.entries[i][j], names[k])
         for i, j, k in _symmetric_index(n, 3)[0]
     }
     comps = tuple(
@@ -428,10 +432,12 @@ def _metric_derivative_exprs(metric: MetricField) -> tuple[tuple[Expr, ...], tup
     Equal derivatives are built as separate trees and share one slot in
     the tape.  The mixed partials ``d_l d_k`` and ``d_k d_l`` are separate
     trees: they are equal as functions, but not always in the last bits.
+    Both families are taken through one :class:`Differentiator`.
     """
     names = _theta_names(metric.dimension)
-    first = tuple(differentiate(e, v) for v in names for e in metric.upper_entries())
-    second = tuple(differentiate(e, v) for v in names for e in first)
+    d = Differentiator()
+    first = tuple(d(e, v) for v in names for e in metric.upper_entries())
+    second = tuple(d(e, v) for v in names for e in first)
     return first, second
 
 

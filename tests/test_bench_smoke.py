@@ -99,6 +99,29 @@ def test_clear_caches_empties_every_jets_cache_and_a_warm_pass_misses_none():
     assert [cache.cache_info().misses for cache in caches] == misses
 
 
+def test_a_cold_unseen_pass_differentiates_each_shared_node_once(monkeypatch):
+    # derivatives share their inputs' subtrees; without one memo per call and
+    # per derivative family, this pass applies 29 134 derivative rules, and
+    # with it 9 758
+    from einstat import expressions
+
+    applied = 0
+
+    def counted(rule):
+        def apply(*args):
+            nonlocal applied
+            applied += 1
+            return rule(*args)
+
+        return apply
+
+    for op, rule in list(expressions._DERIVATIVES.items()):
+        monkeypatch.setitem(expressions._DERIVATIVES, op, counted(rule))
+    workloads.clear_caches()
+    run_pass(workloads.WORKLOADS["unseen"].inputs(SEED, 0))
+    assert 0 < applied <= 15_000
+
+
 @pytest.fixture
 def probes(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # probes imports its siblings by name

@@ -277,6 +277,20 @@ class TestConvexityCommand:
         summary = payload["results"][0]
         assert summary["counts"]["convex"] == 25
 
+    def test_catalog_entry_scans_its_own_box(self, capsys):
+        # half the cells of the --expr default box lie at t < 0, outside
+        # product-power's domain
+        code, out, _ = run(capsys, "convexity", "--catalog", "product-power", "--grid", "4,4")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["input"]["box"] == list(get_entry("product-power").box)
+        assert payload["results"][0]["counts"]["convex"] == 16
+
+    def test_expr_keeps_the_default_box(self, capsys):
+        code, out, _ = run(capsys, "convexity", "--expr", "t^2+x^2", "--grid", "2,2")
+        assert code == 0
+        assert json.loads(out)["input"]["box"] == [-1.0, 1.0, -1.0, 1.0]
+
     def test_csv_rows(self, capsys):
         code, out, _ = run(
             capsys, "convexity", "--expr", "t^2+x^2", "--box", "0,1,0,1",
@@ -421,6 +435,29 @@ def test_flag_the_command_would_ignore_is_usage_error(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize(
+    "command, expr_box, catalog_box",
+    [
+        ("check", "-1,1,-1,1", "--catalog checks the entry's own box and rejects --box"),
+        ("curvature", "-1,1,-2,-0.1", "with --catalog the entry's own box"),
+        ("convexity", "-1,1,-1,1", "with --catalog the entry's own box"),
+    ],
+)
+def test_box_help_names_the_default_of_each_input(capsys, command, expr_box, catalog_box):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert f"(default with --expr {expr_box}; {catalog_box})" in " ".join(out.split())
+
+
+def test_check_samples_help_names_the_default_of_each_input(capsys):
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0
+    assert (
+        "(default with --expr 100; --catalog checks the entry's own count and rejects --samples)"
+        in " ".join(out.split())
+    )
 
 
 @pytest.mark.parametrize(

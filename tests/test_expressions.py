@@ -10,6 +10,7 @@ from einstat.expressions import (
     Add,
     Call,
     Const,
+    Differentiator,
     Div,
     DomainError,
     Mul,
@@ -23,8 +24,10 @@ from einstat.expressions import (
     UnknownConstantError,
     UnknownFunctionError,
     Var,
+    _DERIVATIVES,
     _DOMAIN_MESSAGES,
     _TAPE_OPS,
+    _operands,
     compile_family,
     differentiate,
     evaluate,
@@ -37,10 +40,12 @@ from einstat.expressions import (
     worst_residual,
 )
 from einstat.geometry import (
+    PotentialSpec,
     _constraint_tape,
     _cubic_tape,
     _entry_tape,
     _levi_civita_tape,
+    _metric_derivative_exprs,
     cubic_tensor,
     fisher_metric,
     resolved_constraints,
@@ -235,6 +240,61 @@ class TestDifferentiate:
         d = differentiate(e, "x")
         b = {"t": 2.0, "x": 1.5}
         assert evaluate(d, b) == pytest.approx(2.0 ** 1.5 * math.log(2.0))
+
+    def test_self_shared_product_differentiates_each_node_once(self, monkeypatch):
+        # s*(s + x) holds s twice, so the paths to the leaves double with each
+        # level; without a memo the walk would follow all 2^40 of them
+        levels = 40
+        x = Var("x")
+        s = x
+        for _ in range(levels):
+            s = Mul(s, Add(s, x))
+        applied = 0
+
+        def counted(rule):
+            def apply(*args):
+                nonlocal applied
+                applied += 1
+                # one Mul and one Add per level: fail here, not after 2^40 steps
+                assert applied <= 2 * levels
+                return rule(*args)
+
+            return apply
+
+        for op in (Mul, Add):
+            monkeypatch.setitem(_DERIVATIVES, op, counted(_DERIVATIVES[op]))
+        d = differentiate(s, "x")
+        assert applied == 2 * levels
+        seen, stack = set(), [d]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(_operands(node))
+        assert len(seen) <= 8 * levels
+        # at x = 1/2 every level of s is 1/2, and s' = 3 s'/2 + 1/2
+        slope = 1.0
+        for _ in range(levels):
+            slope = 1.5 * slope + 0.5
+        assert evaluate(d, {"x": 0.5}) == pytest.approx(slope, rel=1e-12)
+
+    def test_a_derivative_family_makes_no_reference_cycle(self):
+        # the memo holds nodes, never the differentiator, so dropping it
+        # frees it by reference counting alone
+        spec = PotentialSpec.create("no-cycle", 2, NORMAL_PSI, constraints=["-x"])
+        gc.collect()
+        gc.disable()
+        try:
+            d = Differentiator()
+            e = parse(NORMAL_PSI)
+            family = [d(d(e, a), b) for a in ("t", "x") for b in ("t", "x")]
+            family.append(differentiate(e, "t"))
+            family.append(cubic_tensor(spec))
+            family.append(_metric_derivative_exprs(fisher_metric(spec)))
+            del d, e, family
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSubstitute:

@@ -9,6 +9,7 @@ from einstat.catalog import entry_names, get_entry
 from einstat.expressions import (
     DomainError,
     ExpressionError,
+    compile_family,
     differentiate,
     evaluate,
     finite_difference,
@@ -606,6 +607,72 @@ class TestPlanarRoute:
 
         check()
         assert any(curved)
+
+
+def plain_derivative_families(spec):
+    """The Hessian's upper entries, the cubic tensor's sorted components and
+    both Levi-Civita derivative families of the potential, each tree a chain
+    of one-shot ``differentiate`` calls, in the builders' orders."""
+    psi = geometry.resolved_potential(spec)
+    names = spec.variables
+    pairs = geometry._symmetric_index(spec.dimension, 2)[0]
+    hessian = {(i, j): differentiate(differentiate(psi, names[i]), names[j]) for i, j in pairs}
+    entries = tuple(hessian[ij] for ij in pairs)
+    cubic = tuple(
+        differentiate(hessian[i, j], names[k])
+        for i, j, k in geometry._symmetric_index(spec.dimension, 3)[0]
+    )
+    first = tuple(differentiate(e, v) for v in names for e in entries)
+    second = tuple(differentiate(e, v) for v in names for e in first)
+    return entries, cubic, first, second
+
+
+def scaling_spec(n):
+    """``sum exp(theta_i) - ln(linear form)`` on ``[-1/2, 1/2]^n`` and three
+    points there."""
+    coeffs = [0.5 + 0.25 * i for i in range(n)]
+    form = " + ".join(f"{v!r}*theta{i + 1}" for i, v in enumerate(coeffs))
+    form += f" + {0.5 * sum(coeffs) + 0.5!r}"
+    psi = " + ".join(f"exp(theta{i + 1})" for i in range(n)) + f" - ln({form})"
+    spec = PotentialSpec.create(f"memo-scaling-{n}", n, psi, constraints=[form])
+    rng = np.random.default_rng(n)
+    return spec, [tuple(rng.uniform(-0.5, 0.5, n).tolist()) for _ in range(3)]
+
+
+#: Every 2-D catalog potential, by name, and scaling potentials by dimension.
+MEMO_CASES = [name for name in entry_names() if get_entry(name).kind == "potential"] + [3, 4, 5]
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_memo_built_derivatives_equal_plain_chains(case):
+    # a derivative is a pure function of its input's structure, so the
+    # builders' shared memos give the same trees and so the same tapes
+    if isinstance(case, int):
+        spec, points = scaling_spec(case)
+    else:
+        spec = get_entry(case).potential
+        points = sample_points(spec, get_entry(case).box, 3, seed=1)
+    entries, cubic, first, second = plain_derivative_families(spec)
+    metric = fisher_metric(spec)
+    built = (
+        metric.upper_entries(),
+        cubic_tensor(spec).sorted_components(),
+        *geometry._metric_derivative_exprs(metric),
+    )
+    for memo_family, plain_family in zip(built, (entries, cubic, first, second)):
+        assert memo_family == plain_family
+        assert repr(memo_family) == repr(plain_family)
+    tapes = (
+        (geometry._entry_tape(metric), entries),
+        (geometry._cubic_tape(spec), cubic),
+        (geometry._levi_civita_tape(metric), entries + first + second),
+    )
+    assert len(points) == 3 and all(map(spec.in_domain, points))
+    for point in points:
+        bindings = spec.bindings(point)
+        for tape, plain_family in tapes:
+            expected = np.array(compile_family(plain_family)(bindings)).tobytes()
+            assert np.array(tape(bindings)).tobytes() == expected
 
 
 def test_caches_stay_within_their_bound():

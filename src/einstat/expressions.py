@@ -620,6 +620,11 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
             elif value is None:  # an operator, or a constant the grammar lacks
                 second = operands[1] if len(operands) > 1 else -1
                 fn = _TAPE_OPS.get(key[0], _undefined)
+                exponent = template[second] if fn is _tape_pow else None
+                if exponent is not None and _is_integral(exponent):
+                    # with a constant integral exponent, ``**`` raises and
+                    # returns what _tape_pow does: no complex result to refuse
+                    fn = operator.pow
                 tape.append((slot, fn, operands[0] if operands else slot, second))
         return slot
 

@@ -525,32 +525,16 @@ def _invariance_tape(gen: GeneratorField, function: Expr) -> Callable:
     )
 
 
-def lsc_check(
-    gen: GeneratorField,
-    equation: Expr,
-    leading: str,
-    samples: int = 200,
-    seed: int = 42,
-    tolerance: float = 1e-7,
-) -> LscReport:
-    """On-shell check that ``pr X(F)`` vanishes on solutions of ``F = 0``.
-
-    ``F`` must be affine in the leading coordinate; each sample solves for
-    it, substitutes, and evaluates the prolonged action.  Residuals are
-    reported relative to ``max(1, sum of |term|)`` so cancellation depth
-    is what is measured.  Sample ``i`` draws its jet point from
-    ``np.random.default_rng([seed, i])``, and a sample whose leading
-    coefficient is smaller than ``1e-3`` is redrawn from the same stream;
-    eight points of the stream ``[seed, 0xAFF1]`` first probe that ``F`` is
-    affine.  The streams' states are derived once per call, together, and
-    each redraw computes only its own block of draws (:func:`_stream_block`),
-    so no ``numpy.random`` generator is built.  Every sample is evaluated at
-    once, one column run per tape; the error raised is that of the first
-    failing sample.  The symbolic plan is built once per input and cached.
-    """
-    _check_samples(samples)
-    if parse_jet_name(leading) is None:
-        raise UnsupportedEquationError(f"'{leading}' is not a jet coordinate")
+@_plan_cache
+def _on_shell_samples(
+    equation: Expr, leading: str, samples: int, seed: int
+) -> tuple[Expr, bool, dict[str, np.ndarray], dict[int, ExpressionError], ExpressionError | None]:
+    """What :func:`lsc_check` computes before any generator enters: the
+    simplified equation; whether the affinity probe finds it affine; and, if
+    so, the jet columns of the samples before the first failing one, the
+    leading coordinate solved (read-only), the base tape's errors there, and
+    the first failing sample's error (its leading coefficient's, or
+    exhaustion), or None."""
     equation, second, leading_tape, base_tape = _leading_plan(equation, leading)
     names = jet_variables(MAX_JET_ORDER)
     width = len(names)
@@ -560,11 +544,7 @@ def lsc_check(
     probe = _stream_block(streams[..., samples:], 0, 8 * width)
     for point in probe.reshape(8, width).tolist():
         if abs(evaluate(second, dict(zip(names, point)))) > 1e-9:
-            raise UnsupportedEquationError(
-                f"equation is not affine in leading coordinate '{leading}'"
-            )
-    # built after the probe, so an order overflow never comes before "not affine"
-    terms_tape = _action_tape(gen, equation)
+            return equation, False, {}, {}, None
 
     draws = np.empty((samples, width))
     a = np.empty(samples)
@@ -587,18 +567,76 @@ def lsc_check(
         )
     # samples past the first failed one are never reached
     first = min(failures, default=samples)
+    draws.flags.writeable = False
     columns = dict(zip(names, draws[:first].T))
     (b0,), base_errors = base_tape.columns(columns)
     with np.errstate(all="ignore"):
         columns[leading] = -b0 / a[:first]
-    values, term_errors = terms_tape.columns(columns)
+    columns[leading].flags.writeable = False
+    return equation, True, columns, base_errors, failures.get(first)
+
+
+def _unraised(exc: Exception) -> Exception:
+    """A kept error, ready to raise once more: without the traceback, which
+    each raise would extend, and the context an earlier raise gave it."""
+    exc.__context__ = None
+    return exc.with_traceback(None)
+
+
+def lsc_check(
+    gen: GeneratorField,
+    equation: Expr,
+    leading: str,
+    samples: int = 200,
+    seed: int = 42,
+    tolerance: float = 1e-7,
+) -> LscReport:
+    """On-shell check that ``pr X(F)`` vanishes on solutions of ``F = 0``.
+
+    ``F`` must be affine in the leading coordinate; each sample solves for
+    it, substitutes, and evaluates the prolonged action.  Residuals are
+    reported relative to ``max(1, sum of |term|)`` so cancellation depth
+    is what is measured.  Sample ``i`` draws its jet point from
+    ``np.random.default_rng([seed, i])``, and a sample whose leading
+    coefficient is smaller than ``1e-3`` is redrawn from the same stream;
+    eight points of the stream ``[seed, 0xAFF1]`` first probe that ``F`` is
+    affine.  The streams' states are derived together, and each redraw
+    computes only its own block of draws (:func:`_stream_block`), so no
+    ``numpy.random`` generator is built.  Every sample is evaluated at once,
+    one column run per tape; the error raised is that of the first failing
+    sample.  The symbolic plan is built once per input, and the solved
+    samples once per ``(equation, leading, samples, seed)``
+    (:func:`_on_shell_samples`): in one process, checking another generator
+    on them runs only its own action tape.
+    """
+    _check_samples(samples)
+    if parse_jet_name(leading) is None:
+        raise UnsupportedEquationError(f"'{leading}' is not a jet coordinate")
+    equation, affine, columns, base_errors, failure = _on_shell_samples(
+        equation, leading, samples, seed
+    )
+    if not affine:
+        raise UnsupportedEquationError(
+            f"equation is not affine in leading coordinate '{leading}'"
+        )
+    # built after the probe, so an order overflow never comes before "not affine"
+    values, term_errors = _action_tape(gen, equation).columns(columns)
     errors = {**term_errors, **base_errors}  # at one sample, base comes first
     if errors:
-        raise errors[min(errors)]
-    if failures:
-        raise failures[first]
+        raise _unraised(errors[min(errors)])
+    if failure is not None:
+        raise _unraised(failure)
     worst = worst_residual(_relative_actions(values).tolist())
     return LscReport(gen.name, samples, worst, tolerance, worst < tolerance)
+
+
+@_plan_cache
+def _invariance_draws(samples: int, seed: int) -> np.ndarray:
+    """The ``(t, x, u)`` of every sample of :func:`invariance_check`, one
+    row each (read-only)."""
+    draws = _stream_draws(seed, np.arange(samples), 3)
+    draws.flags.writeable = False
+    return draws
 
 
 def invariance_check(
@@ -611,15 +649,15 @@ def invariance_check(
     """Check ``X(f) = 0`` for a function of (t, x, u) at random points.
 
     Sample ``i`` is ``np.random.default_rng([seed, i]).uniform(-2, 2, 3)``,
-    computed in closed form for all samples at once (:func:`_stream_draws`),
-    and every sample is evaluated in one column run.  Domain failures (for
-    instance square roots of negative samples) are skipped and counted
-    rather than raised.
+    computed in closed form for all samples at once (:func:`_stream_draws`)
+    and kept per ``(samples, seed)``, and every sample is evaluated in one
+    column run.  Domain failures (for instance square roots of negative
+    samples) are skipped and counted rather than raised.
     """
     _check_samples(samples)
     tape = _invariance_tape(gen, function)
     names = ("t", "x", "u")
-    draws = _stream_draws(seed, np.arange(samples), len(names))
+    draws = _invariance_draws(samples, seed)
     values, errors = tape.columns(dict(zip(names, draws.T)))
     residuals = np.delete(_relative_actions(values), list(errors)).tolist()
     evaluated = len(residuals)

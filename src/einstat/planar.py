@@ -48,6 +48,9 @@ CONVEX = "convex"
 NOT_CONVEX = "not-convex"
 DOMAIN_ERROR = "domain-error"
 
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
 Box = Sequence[float]  # (t_min, t_max, x_min, x_max)
 
 
@@ -70,23 +73,15 @@ def _curvature_numerator(h2, h3) -> float:
     )
 
 
-def _squares(values) -> tuple[np.ndarray, dict[int, OverflowError]]:
-    """``v ** 2`` at every point as Python computes it, and the error of
-    each point where that overflows (inf there).
-
-    Python's ``**`` is the C library's pow, which is not always ``v * v``
-    in the last bit, and it raises on overflow where ``*`` gives inf.
-    """
+def _squares(values) -> np.ndarray:
+    """``v ** 2`` at every point as Python computes it: the C library's
+    pow, which is not always ``v * v`` in the last bit.  It raises on
+    overflow, which no entry of a :meth:`PointValues._normalized` Hessian
+    reaches: their scale squares to a normal double."""
     listed = values.tolist()
-    one = not isinstance(listed, list)
-    squares, overflows = [], {}
-    for row, v in enumerate([listed] if one else listed):
-        try:
-            squares.append(v ** 2)
-        except OverflowError as exc:
-            squares.append(math.inf)
-            overflows[row] = exc
-    return squares[0] if one else np.array(squares), overflows
+    if not isinstance(listed, list):
+        return listed ** 2
+    return np.array([v ** 2 for v in listed])
 
 
 def _first(mask, error: Callable[[int], Exception]) -> dict[int, Exception]:
@@ -95,11 +90,6 @@ def _first(mask, error: Callable[[int], Exception]) -> dict[int, Exception]:
         return {}
     row = int(np.flatnonzero(mask)[0])
     return {row: error(row)}
-
-
-def _division_by_zero(row: int) -> ZeroDivisionError:
-    # what Python raises where a float divisor underflowed to zero
-    return ZeroDivisionError("float division by zero")
 
 
 def _raise_first(*failures: dict[int, Exception]) -> None:
@@ -145,7 +135,9 @@ class PointValues:
     tape's), ``cubic_failed`` to the cubic tape's.  Each method reduces the
     values to one check's, in the same shape, and raises the error the
     check meets first, point by point and at each point in the order of
-    the scalar formulas (Python's own float errors included).
+    the scalar formulas.  Where the Hessian scale's square is not a normal
+    double, the formulas run on the values divided by the scale
+    (:meth:`_normalized`), so that none of them over- or underflows there.
     """
 
     hessian: np.ndarray
@@ -156,28 +148,39 @@ class PointValues:
     def _scale(self) -> np.ndarray:
         return np.abs(self.hessian).max(axis=0)
 
-    def _determinants(self) -> tuple[np.ndarray, dict[int, OverflowError]]:
+    def _normalized(self) -> tuple["PointValues", np.ndarray | float]:
+        """These values with the Hessian and cubic values divided by the
+        Hessian scale at each point where the scale's square is not a normal
+        double (where the formulas under- or overflow), and that divisor:
+        1.0 at every other point, where each reduction stays bit for bit.
+
+        Each reduction is homogeneous in the divisor ``s``: ``det`` and
+        ``R1212`` scale by ``s**2`` and ``s``, and the PDE's two sides by
+        ``s**3`` once ``lam`` is taken times ``s``.
+        """
+        scale = self._scale()
+        square = scale * scale
+        rescale = (scale > 0.0) & ~((square >= _SMALLEST_NORMAL) & (square < math.inf))
+        if not np.count_nonzero(rescale):
+            return self, 1.0
+        divisor = np.where(rescale, scale, 1.0)
+        cubic = None if self.cubic is None else self.cubic / divisor
+        return PointValues(self.hessian / divisor, cubic, self.failed, self.cubic_failed), divisor
+
+    def _determinant(self) -> np.ndarray:
         ptt, ptx, pxx = self.hessian
-        squares, overflows = _squares(ptx)
-        return ptt * pxx - squares, overflows
+        return ptt * pxx - _squares(ptx)
 
     @_quietly
     def convexity(self) -> list[str]:
         """Convexity holds when trace and determinant of the Hessian both
         exceed the margin after normalization by the largest Hessian entry;
         an all-zero Hessian is not convex."""
-        ptt, ptx, pxx = self.hessian
-        scale = self._scale()
-        square = scale * scale
+        values, _ = self._normalized()
+        ptt, ptx, pxx = values.hessian
+        scale = values._scale()
         trace = (ptt + pxx) / scale
-        det = (ptt * pxx - ptx * ptx) / square
-        # where the scale squared under- or overflows, normalize the entries first
-        normal = (square >= np.finfo(float).smallest_normal) & (square < math.inf)
-        rescale = (scale > 0.0) & ~normal
-        if np.any(rescale):
-            ntt, ntx, nxx = self.hessian / scale
-            trace = np.where(rescale, ntt + nxx, trace)
-            det = np.where(rescale, ntt * nxx - ntx * ntx, det)
+        det = (ptt * pxx - ptx * ptx) / (scale * scale)
         convex = ((trace > CONVEXITY_MARGIN) & (det > CONVEXITY_MARGIN)).tolist()
         return [
             DOMAIN_ERROR if row in self.failed else CONVEX if ok else NOT_CONVEX
@@ -187,49 +190,58 @@ class PointValues:
     @_quietly
     def pde_residuals(self, lam: float, relative: bool = False) -> np.ndarray:
         """:func:`pde_residual` at every point."""
-        det, overflows = self._determinants()
-        _raise_first(self.failed, overflows, self.cubic_failed)
-        lhs = _curvature_numerator(self.hessian, self.cubic)
-        rhs = 4.0 * lam * det * det
+        values, s = self._normalized()
+        det = values._determinant()
+        _raise_first(self.failed, self.cubic_failed)
+        lhs = _curvature_numerator(values.hessian, values.cubic)
+        rhs = 4.0 * lam * det * s * det
         residual = lhs - rhs
         if relative:
-            return residual / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-        return residual
+            # the floor 1 is 1 / s**3 in these units; kept positive where
+            # that underflows, so that 0 / 0 stays 0
+            floor = np.maximum(1.0 / s / s / s, _SMALLEST_SUBNORMAL)
+            return residual / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+        return residual * s * s * s
+
+    def _normalized_curvature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+        """R1212, det(g) and their divisor, as :meth:`_normalized` gives
+        them, each in the domain and with a metric that is not singular."""
+        values, s = self._normalized()
+        det = values._determinant()
+        # a zero Hessian has det 0 and is singular too
+        singular = _first(
+            np.abs(det) <= SINGULARITY_THRESHOLD * _squares(values._scale()),
+            lambda row: SingularMetricError(
+                f"metric is numerically singular (det={np.ravel(det * s * s)[row]:.3e})"
+            ),
+        )
+        _raise_first(self.failed, singular, self.cubic_failed)
+        return _curvature_numerator(values.hessian, values.cubic) / (4.0 * det), det, s
 
     @_quietly
     def curvature(self) -> tuple[np.ndarray, np.ndarray]:
         """R1212 and det(g) at every point, each in the domain and with a
         metric that is not singular."""
-        det, det_overflows = self._determinants()
-        squares, scale_overflows = _squares(self._scale())
-        # a zero Hessian has det 0 and is singular too
-        singular = _first(
-            np.abs(det) <= SINGULARITY_THRESHOLD * squares,
-            lambda row: SingularMetricError(
-                f"metric is numerically singular (det={np.ravel(det)[row]:.3e})"
-            ),
-        )
-        _raise_first(self.failed, det_overflows, scale_overflows, singular, self.cubic_failed)
-        return _curvature_numerator(self.hessian, self.cubic) / (4.0 * det), det
+        r, det, s = self._normalized_curvature()
+        return r * s, det * s * s
 
     @_quietly
     def relative_determinants(self) -> list[float]:
         """``|det g| / max|g_ij|^2`` at every point (0 for a zero Hessian),
         with ``np.linalg.det`` of each 2x2 metric: stacked, it returns the
         same floats."""
-        ptt, ptx, pxx = self.hessian
-        scale = self._scale()
-        squares, overflows = _squares(scale)
-        zero = _first((scale != 0.0) & (squares == 0.0), _division_by_zero)
-        _raise_first(self.failed, overflows, zero)
+        values, _ = self._normalized()
+        ptt, ptx, pxx = values.hessian
+        scale = values._scale()
+        _raise_first(self.failed)
         det = np.linalg.det(np.stack([ptt, ptx, ptx, pxx], axis=-1).reshape(-1, 2, 2))
-        return np.where(scale != 0.0, np.abs(det) / squares, 0.0).tolist()
+        return np.where(scale != 0.0, np.abs(det) / _squares(scale), 0.0).tolist()
 
     @_quietly
     def lambda_estimate(self) -> "LambdaEstimate":
         """:func:`lambda_estimate` over a set of points."""
-        r, det = self.curvature()
-        values = (r / det).tolist()
+        r, det, s = self._normalized_curvature()
+        values = (r / det / s).tolist()
         if len(values) < 2:
             raise ValueError("need at least two valid sample points")
         estimate = math.fsum(values) / len(values)

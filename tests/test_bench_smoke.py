@@ -89,7 +89,7 @@ def test_clear_caches_empties_every_jets_cache_and_a_warm_pass_misses_none():
     items = workloads.WORKLOADS["symmetry"].inputs(SEED, 0)
     run_pass(items)
     caches = module_caches("jets")
-    assert len(caches) == 3
+    assert len(caches) == 5
     assert all(cache.cache_info().currsize for cache in caches)
     workloads.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
@@ -97,6 +97,33 @@ def test_clear_caches_empties_every_jets_cache_and_a_warm_pass_misses_none():
     misses = [cache.cache_info().misses for cache in caches]
     run_pass(items)
     assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def test_a_symmetry_pass_derives_each_sample_set_once(monkeypatch):
+    # the solved samples are kept per (equation, leading, samples, seed) and
+    # the invariant checks' per (samples, seed): a cold pass derives the
+    # streams of each such set once, a warm pass none; drawing per check
+    # made 69 calls in every pass
+    from einstat import jets
+
+    calls = []
+
+    def counted(seed, indices):
+        calls.append(seed)
+        return stream_states(seed, indices)
+
+    stream_states = jets._stream_states
+    monkeypatch.setattr(jets, "_stream_states", counted)
+    items = workloads.WORKLOADS["symmetry"].inputs(SEED, 0)
+    seeds = {item.label.split()[-1] for item in items}
+    pairs = {(pde, seed) for seed in seeds for pde, _, _ in workloads.SYMMETRY_CASES}
+    assert len(pairs) == 6
+    workloads.clear_caches()
+    run_pass(items)
+    assert len(calls) == len(pairs) + len(seeds)
+    calls.clear()
+    run_pass(items)
+    assert len(calls) == 0
 
 
 def test_a_cold_unseen_pass_differentiates_each_shared_node_once(monkeypatch):

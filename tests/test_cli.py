@@ -68,6 +68,20 @@ class TestCheckCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("factor", ["1e200", "1e-170"])
+    def test_flat_hessian_whose_scale_squared_is_not_normal_passes(self, capsys, factor):
+        # the Hessian scale squared overflows (it raised OverflowError, exit
+        # 3) or underflows (it made the metric "singular", exit 1)
+        code, out, err = run(
+            capsys, "check", "--expr", f"{factor}*(t^2+x^2)", "--lambda", "0", "--box", "-1,1,-1,1"
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["pass"] is True
+        assert payload["results"][0] == {
+            "max_relative_residual": 0.0, "lambda_estimate": 0.0, "lambda_deviation": 0.0
+        }
+
     def test_expr_requires_lambda(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "t^2+x^2")
         assert code == 2

@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 import struct
 
 import numpy as np
@@ -643,6 +644,50 @@ class TestOperatorTable:
         for error in _errors([Var("x"), node], node):
             assert str(error) == "ln of non-positive value in 'ln(-1)'"
             assert error.subtree == Call("ln", Num(-1.0))
+
+
+def _outcome(run):
+    """A value's bits, or the error's type and message."""
+    try:
+        return struct.pack("<d", run())
+    except ExpressionError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("exponent", [0.0, -0.0, 2.0, -2.0, 3.0, 1.5, -0.5, 1e15])
+def test_pow_by_a_constant_agrees_in_walk_tape_and_columns(exponent):
+    # an integral constant exponent runs plain ``**``, any other _tape_pow:
+    # zero bases with a negative exponent, an overflow (1e200^2) and a
+    # negative base with a non-integral exponent raise the same in all three
+    node = Pow(Var("x"), Num(exponent))
+    bases = [0.0, -0.0, 2.0, -3.0, 0.5, 1e200, -1e200, math.inf, -math.inf, math.nan]
+    tape = compile_family([node])
+    (instruction,) = [fn for _, fn, _, _ in tape.columns.args[1][2]]
+    integral = exponent == int(exponent) and abs(exponent) < 1e15
+    assert instruction is (operator.pow if integral else _TAPE_OPS[Pow])
+    expected = [_outcome(lambda: evaluate(node, {"x": base})) for base in bases]
+    assert [_outcome(lambda: tape({"x": base})[0]) for base in bases] == expected
+    (values,), errors = tape.columns({"x": np.array(bases)})
+    columns = [
+        (type(errors[row]), str(errors[row])) if row in errors else struct.pack("<d", value)
+        for row, value in enumerate(values.tolist())
+    ]
+    assert columns == expected
+    # the cases are evidence only if they reach each error
+    reached = {
+        -2.0: (0, "zero raised to a negative power in 'x^-2'"),
+        2.0: (5, "overflow in 'x^2'"),
+        1.5: (3, "negative base with non-integer exponent in 'x^1.5'"),
+    }
+    if exponent in reached:
+        row, message = reached[exponent]
+        assert expected[row] == (DomainError, message)
+
+
+def test_pow_by_a_variable_or_named_constant_keeps_the_guard():
+    for node in (Pow(Var("x"), Var("y")), Pow(Var("x"), Const("pi"))):
+        (instruction,) = [fn for _, fn, _, _ in compile_family([node]).columns.args[1][2]]
+        assert instruction is _TAPE_OPS[Pow]
 
 
 class TestWorstResidual:

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -528,32 +529,90 @@ class TestPlanCaches:
         if pde == "heat" and texts[1] == "eta = ln(0)":
             assert expected[0] != expected[1]  # the case is evidence here
 
+    def test_not_affine_comes_before_the_prolongation_error_on_shared_samples(self):
+        # the probe's verdict is kept with the samples; a generator whose
+        # prolongation overflows, checked on them, still meets it first
+        clear_plan_caches()
+        for name in ("H1", "H6", "H1"):
+            with pytest.raises(UnsupportedEquationError, match="not affine"):
+                lsc_check(HEAT_GENERATORS[name], parse("u_t^2 - u_xx*u_x"), "u_t", samples=5)
+        with pytest.raises(OrderOverflowError, match="exceeds jet order"):
+            lsc_check(HEAT_GENERATORS["H6"], parse("u_t - u_xxxx"), "u_t", samples=5)
+
+    @pytest.mark.parametrize("seed", [42, 7, 977])
+    def test_shared_samples_give_each_generator_its_cold_outcome(self, seed):
+        # every generator of an equation, checked in turn on one set of
+        # solved samples, against each checked with emptied caches
+        cases = {
+            "heat": [f"H{i}" for i in range(1, 7)] + ["xi_t = t^2"],
+            "txpeq": [f"X{i}" for i in range(1, 10)]
+            + ["eta = u", "xi_t = t^2", "xi_t = t + 0.1*x", "xi_t = x + t"],
+            "ln-base": ["H1", "eta = sqrt(u)"] + RAISING,
+            "exhausted": ["H4"] + RAISING,
+        }
+        for pde, names in cases.items():
+            equation, leading = EQUATIONS[pde]
+            equation = parse(equation) if isinstance(equation, str) else equation
+            cold = []
+            for name in names:
+                clear_plan_caches()
+                cold.append(outcome(lsc_check, GENERATORS[name], equation, leading, seed=seed))
+            clear_plan_caches()
+            warm = [outcome(lsc_check, GENERATORS[name], equation, leading, seed=seed) for name in names]
+            assert warm == cold
+            assert jets._on_shell_samples.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "equation, gen",
+        [(EQUATIONS["ln-base"], "H1"), (EQUATIONS["exhausted"], "H1"), (HEAT, "xi_t = sqrt(t)"),
+         (EQUATIONS["sqrt-leading"], "H4"), (("u_t^2 - u_xx", "u_t"), "H6")],
+        ids=str,
+    )
+    def test_an_error_raised_again_keeps_its_message_and_traceback(self, equation, gen):
+        # a kept error is raised afresh: the same text, and no frames of the
+        # raises before it (the last case is not affine)
+        text, leading = equation
+        clear_plan_caches()
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ExpressionError) as err:
+                lsc_check(GENERATORS[gen], parse(text), leading)
+            raised.append((str(err.value), len(traceback.extract_tb(err.value.__traceback__))))
+        assert raised == [raised[0]] * 3
+
     def test_reparsed_inputs_hit(self):
         clear_plan_caches()
         for _ in range(2):
             equation, leading = equation_for("txpeq", 0.5)
             lsc_check(parse_generator("xi_t = t^2"), equation, leading, samples=5)
             invariance_check(parse_generator("eta = u"), parse("u/t"), samples=5)
+        # the second check's solved samples hit, so it never asks for the
+        # leading plan they were built from
+        hits_and_misses = {cache.__name__: (1, 1) for cache in plan_caches()}
+        hits_and_misses["_leading_plan"] = (0, 1)
         for cache in plan_caches():
             info = cache.cache_info()
-            assert (info.hits, info.misses) == (1, 1), cache
+            assert (info.hits, info.misses) == hits_and_misses[cache.__name__], cache
 
     def test_caches_stay_within_their_bound(self):
-        # new generators in one long-lived process, with no cache ever cleared
+        # new generators and seeds in one long-lived process, with no cache
+        # ever cleared
         clear_plan_caches()
         for k in range(CACHED_INPUTS + 10):
             gen = parse_generator(f"xi_t = {k + 1}*t; xi_x = x")
-            lsc_check(gen, heat_equation(), "u_t", samples=2)
-            invariance_check(gen, parse("x"), samples=2)
+            lsc_check(gen, heat_equation(), "u_t", samples=2, seed=k)
+            invariance_check(gen, parse("x"), samples=2, seed=k)
         caches = plan_caches()
         assert {cache.__name__ for cache in caches} == {
-            "_leading_plan", "_action_tape", "_invariance_tape"
+            "_leading_plan", "_on_shell_samples", "_action_tape",
+            "_invariance_tape", "_invariance_draws",
         }
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize == CACHED_INPUTS
             assert info.currsize <= info.maxsize
-        assert jets._action_tape.cache_info().currsize == CACHED_INPUTS
+        for cache in (jets._on_shell_samples, jets._action_tape, jets._invariance_draws):
+            assert cache.cache_info().currsize == CACHED_INPUTS
 
 
 class TestNoGeneratorPerSample:

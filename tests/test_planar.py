@@ -413,6 +413,31 @@ class TestSetReductions:
         assert [convexity_check(spec, p) for p in points] == expected
         assert expected == [CONVEX if t > -1 / 3 else NOT_CONVEX for t, _ in points]
 
+    @pytest.mark.parametrize("factor", [1e-170, 1e170, 1e300])
+    def test_curvature_where_the_scale_squared_is_not_normal(self, factor):
+        # R1212 scales by the factor and kappa, so lambda, by its inverse;
+        # unnormalized, the scale squared raises OverflowError past 1.3e154
+        # and underflows to a "singular" metric below 1e-154
+        text = "-(t^2)/(4*x) - ln(-x)/2"
+        base = PotentialSpec.create("base", 2, text, constraints=["-x"])
+        scaled = PotentialSpec.create("scaled", 2, f"{factor!r}*({text})", constraints=["-x"])
+        points = sample_points(base, (-1.0, 1.0, -2.0, -0.1), 20, seed=5)
+        values, scaled_values = evaluate_points(base, points), evaluate_points(scaled, points)
+        assert np.allclose(scaled_values.curvature()[0], factor * values.curvature()[0], rtol=1e-9)
+        lam = values.lambda_estimate().estimate
+        assert lam == pytest.approx(0.5, rel=1e-9)
+        assert scaled_values.lambda_estimate().estimate == pytest.approx(lam / factor, rel=1e-9)
+        assert np.all(np.abs(scaled_values.pde_residuals(lam / factor, relative=True)) < 1e-9)
+
+    def test_a_flat_potential_too_large_to_square_its_scale_fails_a_nonzero_lambda(self):
+        # lhs is 0 and rhs 4 lam det^2 is past the largest double: the
+        # relative residual is -1, as for any flat potential, not 0 / 0
+        spec = PotentialSpec.create("huge", 2, "1e200*(t^2 + x^2)")
+        values = evaluate_points(spec, [(0.1, 0.2), (-0.5, 0.3)])
+        assert values.pde_residuals(0.0, relative=True).tolist() == [0.0, 0.0]
+        assert values.pde_residuals(0.5, relative=True).tolist() == [-1.0, -1.0]
+        assert values.lambda_estimate().estimate == 0.0
+
     @pytest.mark.parametrize("spec, box", REDUCTION_CASES)
     def test_relative_determinants_match_each_metric_evaluation(self, spec, box):
         rng = np.random.default_rng(12)
@@ -420,6 +445,7 @@ class TestSetReductions:
 
         def relative(p):
             g = metric.evaluate(p)
+            g = g / scalar_divisor(g.ravel().tolist())
             scale = float(np.max(np.abs(g)))
             return abs(float(np.linalg.det(g))) / scale ** 2 if scale else 0.0
 
@@ -439,9 +465,16 @@ def scalar_hessian(spec, point):
     return _entry_tape(fisher_metric(spec))(spec.bindings(point))
 
 
-def scalar_numerator(spec, point, h2):
+def scalar_divisor(h2):
+    """The Hessian scale where its square is not a normal double, else 1.0:
+    the reductions run on the values divided by it."""
+    scale = max(abs(v) for v in h2)
+    return scale if scale > 0.0 and not sys.float_info.min <= scale * scale < math.inf else 1.0
+
+
+def scalar_numerator(spec, point, h2, divisor):
     ptt, ptx, pxx = h2
-    pttt, pttx, ptxx, pxxx = _cubic_tape(spec)(spec.bindings(point))
+    pttt, pttx, ptxx, pxxx = (v / divisor for v in _cubic_tape(spec)(spec.bindings(point)))
     return (
         ptt * (pttx * pxxx - ptxx * ptxx)
         - ptx * (pttt * pxxx - pttx * ptxx)
@@ -449,21 +482,35 @@ def scalar_numerator(spec, point, h2):
     )
 
 
-def scalar_curvature(spec, point):
+def scalar_normalized_hessian(spec, point):
     h2 = scalar_hessian(spec, point)
+    s = scalar_divisor(h2)
+    return [v / s for v in h2], s
+
+
+def scalar_normalized_curvature(spec, point):
+    """R1212 and det(g) of the values divided by ``s``, and ``s``."""
+    h2, s = scalar_normalized_hessian(spec, point)
     det = h2[0] * h2[2] - h2[1] ** 2
     scale = max(abs(v) for v in h2)
     if scale == 0.0 or abs(det) <= SINGULARITY_THRESHOLD * scale ** 2:
-        raise SingularMetricError(f"metric is numerically singular (det={det:.3e})")
-    return scalar_numerator(spec, point, h2) / (4.0 * det), det
+        raise SingularMetricError(f"metric is numerically singular (det={det * s * s:.3e})")
+    return scalar_numerator(spec, point, h2, s) / (4.0 * det), det, s
+
+
+def scalar_curvature(spec, point):
+    r, det, s = scalar_normalized_curvature(spec, point)
+    return r * s, det * s * s
 
 
 def scalar_pde_residual(spec, lam, point):
-    h2 = scalar_hessian(spec, point)
+    # lhs and rhs are those of the unscaled values over s**3, and so is the floor
+    h2, s = scalar_normalized_hessian(spec, point)
     det = h2[0] * h2[2] - h2[1] ** 2
-    lhs = scalar_numerator(spec, point, h2)
-    rhs = 4.0 * lam * det * det
-    return (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+    lhs = scalar_numerator(spec, point, h2, s)
+    rhs = 4.0 * lam * det * s * det
+    floor = max(1.0 / s / s / s, sys.float_info.min * sys.float_info.epsilon)
+    return (lhs - rhs) / max(abs(lhs), abs(rhs), floor)
 
 
 def scalar_convexity(spec, point):
@@ -482,7 +529,7 @@ def scalar_convexity(spec, point):
 
 
 def scalar_lambda_estimate(spec, points):
-    values = [curv / det for curv, det in (scalar_curvature(spec, p) for p in points)]
+    values = [r / det / s for r, det, s in (scalar_normalized_curvature(spec, p) for p in points)]
     if len(values) < 2:
         raise ValueError("need at least two valid sample points")
     estimate = math.fsum(values) / len(values)

@@ -278,6 +278,9 @@ class InvarianceReport:
 _SAMPLE_RANGE = (-2.0, 2.0)
 _LEADING_FLOOR = 1e-3
 _RESAMPLE_LIMIT = 64
+#: the most samples whose solved columns are kept between calls: with
+#: CACHED_INPUTS inputs, at most about 4.6 MB of lsc_check's columns
+_KEPT_SAMPLES = 500
 
 
 _MASK32 = 0xFFFFFFFF
@@ -489,6 +492,20 @@ def _plan_cache(build: Callable) -> Callable:
     return cached
 
 
+def _sample_cache(build: Callable) -> Callable:
+    """``build(..., samples, seed)`` behind :func:`_plan_cache` for at most
+    :data:`_KEPT_SAMPLES` samples; a larger set is built on every call, so
+    that none stays resident."""
+    kept = _plan_cache(build)
+
+    @wraps(build)
+    def cached(*args):
+        return (kept if args[-2] <= _KEPT_SAMPLES else build)(*args)
+
+    cached.cache_info, cached.cache_clear = kept.cache_info, kept.cache_clear
+    return cached
+
+
 @_plan_cache
 def _leading_plan(equation: Expr, leading: str) -> tuple[Expr, Expr, Callable, Callable]:
     """The simplified equation, its second derivative by the leading
@@ -525,7 +542,7 @@ def _invariance_tape(gen: GeneratorField, function: Expr) -> Callable:
     )
 
 
-@_plan_cache
+@_sample_cache
 def _on_shell_samples(
     equation: Expr, leading: str, samples: int, seed: int
 ) -> tuple[Expr, bool, dict[str, np.ndarray], dict[int, ExpressionError], ExpressionError | None]:
@@ -576,11 +593,13 @@ def _on_shell_samples(
     return equation, True, columns, base_errors, failures.get(first)
 
 
-def _unraised(exc: Exception) -> Exception:
-    """A kept error, ready to raise once more: without the traceback, which
-    each raise would extend, and the context an earlier raise gave it."""
-    exc.__context__ = None
-    return exc.with_traceback(None)
+def _fresh(exc: Exception) -> Exception:
+    """A new error with a kept one's type, arguments and attributes.  The
+    kept one is never raised itself, so that no raise carries the
+    traceback, context or notes of another."""
+    fresh = type(exc).__new__(type(exc), *exc.args)
+    fresh.__dict__.update(exc.__dict__)
+    return fresh
 
 
 def lsc_check(
@@ -606,8 +625,9 @@ def lsc_check(
     one column run per tape; the error raised is that of the first failing
     sample.  The symbolic plan is built once per input, and the solved
     samples once per ``(equation, leading, samples, seed)``
-    (:func:`_on_shell_samples`): in one process, checking another generator
-    on them runs only its own action tape.
+    (:func:`_on_shell_samples`) up to :data:`_KEPT_SAMPLES` samples: in one
+    process, checking another generator on them runs only its own action
+    tape.
     """
     _check_samples(samples)
     if parse_jet_name(leading) is None:
@@ -623,14 +643,14 @@ def lsc_check(
     values, term_errors = _action_tape(gen, equation).columns(columns)
     errors = {**term_errors, **base_errors}  # at one sample, base comes first
     if errors:
-        raise _unraised(errors[min(errors)])
+        raise _fresh(errors[min(errors)])
     if failure is not None:
-        raise _unraised(failure)
+        raise _fresh(failure)
     worst = worst_residual(_relative_actions(values).tolist())
     return LscReport(gen.name, samples, worst, tolerance, worst < tolerance)
 
 
-@_plan_cache
+@_sample_cache
 def _invariance_draws(samples: int, seed: int) -> np.ndarray:
     """The ``(t, x, u)`` of every sample of :func:`invariance_check`, one
     row each (read-only)."""
@@ -650,7 +670,8 @@ def invariance_check(
 
     Sample ``i`` is ``np.random.default_rng([seed, i]).uniform(-2, 2, 3)``,
     computed in closed form for all samples at once (:func:`_stream_draws`)
-    and kept per ``(samples, seed)``, and every sample is evaluated in one
+    and kept per ``(samples, seed)`` as the solved samples of
+    :func:`lsc_check` are, and every sample is evaluated in one
     column run.  Domain failures (for instance square roots of negative
     samples) are skipped and counted rather than raised.
     """

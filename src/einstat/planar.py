@@ -48,7 +48,6 @@ CONVEX = "convex"
 NOT_CONVEX = "not-convex"
 DOMAIN_ERROR = "domain-error"
 
-_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 Box = Sequence[float]  # (t_min, t_max, x_min, x_max)
@@ -76,8 +75,8 @@ def _curvature_numerator(h2, h3) -> float:
 def _squares(values) -> np.ndarray:
     """``v ** 2`` at every point as Python computes it: the C library's
     pow, which is not always ``v * v`` in the last bit.  It raises on
-    overflow, which no entry of a :meth:`PointValues._normalized` Hessian
-    reaches: their scale squares to a normal double."""
+    overflow, which no finite entry of a :meth:`PointValues._normalized`
+    Hessian reaches: their finite scales square to finite doubles."""
     listed = values.tolist()
     if not isinstance(listed, list):
         return listed ** 2
@@ -90,6 +89,11 @@ def _first(mask, error: Callable[[int], Exception]) -> dict[int, Exception]:
         return {}
     row = int(np.flatnonzero(mask)[0])
     return {row: error(row)}
+
+
+def _division_by_zero(row: int) -> ZeroDivisionError:
+    # what Python raises where a float divisor underflowed to zero
+    return ZeroDivisionError("float division by zero")
 
 
 def _raise_first(*failures: dict[int, Exception]) -> None:
@@ -135,9 +139,9 @@ class PointValues:
     tape's), ``cubic_failed`` to the cubic tape's.  Each method reduces the
     values to one check's, in the same shape, and raises the error the
     check meets first, point by point and at each point in the order of
-    the scalar formulas.  Where the Hessian scale's square is not a normal
-    double, the formulas run on the values divided by the scale
-    (:meth:`_normalized`), so that none of them over- or underflows there.
+    the scalar formulas (Python's own float errors included).  Where the
+    Hessian scale's square overflows, the formulas run on the values
+    divided by the scale (:meth:`_normalized`).
     """
 
     hessian: np.ndarray
@@ -150,17 +154,19 @@ class PointValues:
 
     def _normalized(self) -> tuple["PointValues", np.ndarray | float]:
         """These values with the Hessian and cubic values divided by the
-        Hessian scale at each point where the scale's square is not a normal
-        double (where the formulas under- or overflow), and that divisor:
-        1.0 at every other point, where each reduction stays bit for bit.
+        Hessian scale at each point where that scale is finite and its
+        square overflows, and that divisor: 1.0 at every other point, where
+        each reduction stays bit for bit.
 
         Each reduction is homogeneous in the divisor ``s``: ``det`` and
         ``R1212`` scale by ``s**2`` and ``s``, and the PDE's two sides by
-        ``s**3`` once ``lam`` is taken times ``s``.
+        ``s**3`` once ``lam`` is taken times ``s``.  Where the square
+        underflows, nothing is divided: the metric reads as singular there,
+        and the PDE's floor 1, ``1 / s**3`` in rescaled units, would be
+        infinite and hide every residual.
         """
         scale = self._scale()
-        square = scale * scale
-        rescale = (scale > 0.0) & ~((square >= _SMALLEST_NORMAL) & (square < math.inf))
+        rescale = (scale * scale == math.inf) & (scale < math.inf)
         if not np.count_nonzero(rescale):
             return self, 1.0
         divisor = np.where(rescale, scale, 1.0)
@@ -176,11 +182,18 @@ class PointValues:
         """Convexity holds when trace and determinant of the Hessian both
         exceed the margin after normalization by the largest Hessian entry;
         an all-zero Hessian is not convex."""
-        values, _ = self._normalized()
-        ptt, ptx, pxx = values.hessian
-        scale = values._scale()
+        ptt, ptx, pxx = self.hessian
+        scale = self._scale()
+        square = scale * scale
         trace = (ptt + pxx) / scale
-        det = (ptt * pxx - ptx * ptx) / (scale * scale)
+        det = (ptt * pxx - ptx * ptx) / square
+        # where the scale squared under- or overflows, normalize the entries first
+        normal = (square >= np.finfo(float).smallest_normal) & (square < math.inf)
+        rescale = (scale > 0.0) & ~normal
+        if np.any(rescale):
+            ntt, ntx, nxx = self.hessian / scale
+            trace = np.where(rescale, ntt + nxx, trace)
+            det = np.where(rescale, ntt * nxx - ntx * ntx, det)
         convex = ((trace > CONVEXITY_MARGIN) & (det > CONVEXITY_MARGIN)).tolist()
         return [
             DOMAIN_ERROR if row in self.failed else CONVEX if ok else NOT_CONVEX
@@ -198,7 +211,7 @@ class PointValues:
         residual = lhs - rhs
         if relative:
             # the floor 1 is 1 / s**3 in these units; kept positive where
-            # that underflows, so that 0 / 0 stays 0
+            # that underflows (s > 1e154), so that 0 / 0 stays 0
             floor = np.maximum(1.0 / s / s / s, _SMALLEST_SUBNORMAL)
             return residual / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
         return residual * s * s * s
@@ -233,9 +246,11 @@ class PointValues:
         values, _ = self._normalized()
         ptt, ptx, pxx = values.hessian
         scale = values._scale()
-        _raise_first(self.failed)
+        squares = _squares(scale)
+        zero = _first((scale != 0.0) & (squares == 0.0), _division_by_zero)
+        _raise_first(self.failed, zero)
         det = np.linalg.det(np.stack([ptt, ptx, ptx, pxx], axis=-1).reshape(-1, 2, 2))
-        return np.where(scale != 0.0, np.abs(det) / _squares(scale), 0.0).tolist()
+        return np.where(scale != 0.0, np.abs(det) / squares, 0.0).tolist()
 
     @_quietly
     def lambda_estimate(self) -> "LambdaEstimate":

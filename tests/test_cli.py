@@ -68,12 +68,10 @@ class TestCheckCommand:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("factor", ["1e200", "1e-170"])
-    def test_flat_hessian_whose_scale_squared_is_not_normal_passes(self, capsys, factor):
-        # the Hessian scale squared overflows (it raised OverflowError, exit
-        # 3) or underflows (it made the metric "singular", exit 1)
+    def test_flat_hessian_whose_scale_squared_overflows_passes(self, capsys):
+        # the Hessian scale squared overflowed: OverflowError, exit 3
         code, out, err = run(
-            capsys, "check", "--expr", f"{factor}*(t^2+x^2)", "--lambda", "0", "--box", "-1,1,-1,1"
+            capsys, "check", "--expr", "1e200*(t^2+x^2)", "--lambda", "0", "--box", "-1,1,-1,1"
         )
         assert (code, err) == (0, "")
         payload = json.loads(out)
@@ -81,6 +79,45 @@ class TestCheckCommand:
         assert payload["results"][0] == {
             "max_relative_residual": 0.0, "lambda_estimate": 0.0, "lambda_deviation": 0.0
         }
+
+    @pytest.mark.parametrize(
+        "expr, box, lam, code, singular",
+        [
+            # flat, with a scale whose square overflows: only lambda 0 passes
+            ("1e200*(t^2+x^2)", "-1,1,-1,1", "0.5", 1, False),
+            ("1e200*(t^2+x^2)", "-1,1,-1,1", "-2", 1, False),
+            # kappa = 1/2 times 1e-170: lambda is 5e-171, and 1e-5 off fails
+            ("1e170*(-(t^2)/(4*x) - ln(-x)/2)", "-1,1,-2,-0.1", "5e-171", 0, False),
+            ("1e170*(-(t^2)/(4*x) - ln(-x)/2)", "-1,1,-2,-0.1", "5.00005e-171", 1, False),
+            ("1e170*(-(t^2)/(4*x) - ln(-x)/2)", "-1,1,-2,-0.1", "0.5", 1, False),
+            # a scale whose square underflows: the metric is singular and no
+            # lambda passes, though both sides of the PDE are 0
+            ("1e-170*(t^2+x^2)", "-1,1,-1,1", "0", 1, True),
+            ("1e-170*(t^2+x^2)", "-1,1,-1,1", "5", 1, True),
+            ("1e-170*(t^2 + x^2 + t^3)", "-1,1,-1,1", "-2", 1, True),
+            # psi_tt far above psi_xx = 2: singular too, its square overflowing or not
+            ("exp(exp(t)) + x^2", "2,6.6,-1,1", "0", 1, True),
+            ("exp(exp(t)) + x^2", "2,6.6,-1,1", "0.5", 1, True),
+        ],
+    )
+    def test_verdicts_where_the_scale_squared_is_not_normal(
+        self, capsys, expr, box, lam, code, singular
+    ):
+        result = run(capsys, "check", "--expr", expr, "--lambda", lam, f"--box={box}")
+        assert result[::2] == (code, "")
+        payload = json.loads(result[1])
+        assert payload["pass"] is (code == 0)
+        assert ("lambda_error" in payload["results"][0]) is singular
+        if singular:
+            assert "numerically singular" in payload["results"][0]["lambda_error"]
+
+    @pytest.mark.parametrize("lam", ["0", "0.5"])
+    def test_a_box_where_the_cubic_values_overflow_is_an_error(self, capsys, lam):
+        code, out, err = run(
+            capsys, "check", "--expr", "exp(exp(t)) + x^2", "--lambda", lam, "--box=6.5,6.56,-1,1"
+        )
+        assert (code, out) == (3, "")
+        assert "overflow in" in err
 
     def test_expr_requires_lambda(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "t^2+x^2")

@@ -569,16 +569,43 @@ class TestPlanCaches:
         ids=str,
     )
     def test_an_error_raised_again_keeps_its_message_and_traceback(self, equation, gen):
-        # a kept error is raised afresh: the same text, and no frames of the
-        # raises before it (the last case is not affine)
+        # a kept error is raised afresh: a new object of the same type and
+        # text, with no frames, context or notes of the raises before it
+        # (the last case is not affine)
         text, leading = equation
         clear_plan_caches()
-        raised = []
+        raised, errors = [], []
         for _ in range(3):
-            with pytest.raises(ExpressionError) as err:
+            try:
                 lsc_check(GENERATORS[gen], parse(text), leading)
-            raised.append((str(err.value), len(traceback.extract_tb(err.value.__traceback__))))
+            except ExpressionError as exc:
+                errors.append(exc)
+                exc.add_note("seen")
+                try:
+                    raise ValueError("a later error") from None
+                except ValueError:
+                    pass
+        for err in errors:
+            depth = len(traceback.extract_tb(err.__traceback__))
+            raised.append((type(err), str(err), vars(err).keys() - {"__notes__"}, depth))
+            assert (err.__context__, err.__cause__, err.__notes__) == (None, None, ["seen"])
         assert raised == [raised[0]] * 3
+        assert len({id(err) for err in errors}) == 3
+
+    def test_large_sample_sets_are_not_kept(self):
+        # solved samples are kept up to _KEPT_SAMPLES samples; a larger set
+        # is solved again on every call, and never stays resident
+        clear_plan_caches()
+        heat = heat_equation()
+        for samples in (jets._KEPT_SAMPLES + 1, 20_000):
+            report = lsc_check(HEAT_GENERATORS["H1"], heat, "u_t", samples=samples)
+            assert report == lsc_check(HEAT_GENERATORS["H1"], heat, "u_t", samples=samples)
+            invariance_check(HEAT_GENERATORS["H1"], parse("x"), samples=samples)
+        for cache in (jets._on_shell_samples, jets._invariance_draws):
+            info = cache.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        lsc_check(HEAT_GENERATORS["H1"], heat, "u_t", samples=jets._KEPT_SAMPLES)
+        assert jets._on_shell_samples.cache_info().currsize == 1
 
     def test_reparsed_inputs_hit(self):
         clear_plan_caches()

@@ -413,11 +413,10 @@ class TestSetReductions:
         assert [convexity_check(spec, p) for p in points] == expected
         assert expected == [CONVEX if t > -1 / 3 else NOT_CONVEX for t, _ in points]
 
-    @pytest.mark.parametrize("factor", [1e-170, 1e170, 1e300])
-    def test_curvature_where_the_scale_squared_is_not_normal(self, factor):
+    @pytest.mark.parametrize("factor", [1e170, 1e300])
+    def test_curvature_where_the_scale_squared_overflows(self, factor):
         # R1212 scales by the factor and kappa, so lambda, by its inverse;
         # unnormalized, the scale squared raises OverflowError past 1.3e154
-        # and underflows to a "singular" metric below 1e-154
         text = "-(t^2)/(4*x) - ln(-x)/2"
         base = PotentialSpec.create("base", 2, text, constraints=["-x"])
         scaled = PotentialSpec.create("scaled", 2, f"{factor!r}*({text})", constraints=["-x"])
@@ -428,6 +427,18 @@ class TestSetReductions:
         assert lam == pytest.approx(0.5, rel=1e-9)
         assert scaled_values.lambda_estimate().estimate == pytest.approx(lam / factor, rel=1e-9)
         assert np.all(np.abs(scaled_values.pde_residuals(lam / factor, relative=True)) < 1e-9)
+
+    @pytest.mark.parametrize("factor", ["1e-170", "1e-300"])
+    def test_a_scale_whose_square_underflows_to_zero_leaves_the_metric_singular(self, factor):
+        # both sides of the PDE underflow to 0 at every lambda, so that
+        # only the singular metric keeps a check from passing
+        spec = PotentialSpec.create("tiny", 2, f"{factor}*(t^2 + x^2 + t^3)")
+        values = evaluate_points(spec, [(0.1, 0.2), (-0.5, 0.3)])
+        for lam in (0.0, 0.5, -2.0, 1e300):
+            assert values.pde_residuals(lam, relative=True).tolist() == [0.0, 0.0]
+        for reduction in (values.curvature, values.lambda_estimate):
+            with pytest.raises(SingularMetricError, match="numerically singular"):
+                reduction()
 
     def test_a_flat_potential_too_large_to_square_its_scale_fails_a_nonzero_lambda(self):
         # lhs is 0 and rhs 4 lam det^2 is past the largest double: the
@@ -466,10 +477,10 @@ def scalar_hessian(spec, point):
 
 
 def scalar_divisor(h2):
-    """The Hessian scale where its square is not a normal double, else 1.0:
-    the reductions run on the values divided by it."""
+    """The Hessian scale where it is finite and its square overflows, else
+    1.0: the reductions run on the values divided by it."""
     scale = max(abs(v) for v in h2)
-    return scale if scale > 0.0 and not sys.float_info.min <= scale * scale < math.inf else 1.0
+    return scale if scale * scale == math.inf and scale < math.inf else 1.0
 
 
 def scalar_numerator(spec, point, h2, divisor):

@@ -31,6 +31,7 @@ import math
 import operator
 import struct
 import sys
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -630,6 +631,8 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
 
     roots = _post_order(exprs, number)
     tape = tuple(tape)
+    leaves = [slot for slot, value in enumerate(template) if value is not None]
+    leaves = np.array(leaves + [slot for slot, _ in names], dtype=np.intp)
 
     def run(bindings: Bindings) -> tuple[float, ...]:
         try:
@@ -648,7 +651,7 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
 
     # a partial of a module function: the tape holds no reference to itself,
     # so it is freed as soon as it is dropped
-    run.columns = functools.partial(_column_run, exprs, (template, names, tape, roots))
+    run.columns = functools.partial(_column_run, exprs, (template, names, tape, roots, leaves))
     return run
 
 
@@ -679,31 +682,93 @@ def _elementwise(fn: Callable, *args: list) -> list:
         return out
 
 
+class RowErrors(MutableMapping):
+    """The :class:`ExpressionError` of each failed row of a column run
+    (:func:`_column_run`), keyed by row; the run adds them in row order.
+
+    A row the run proves to fail is a key at once, and its error, the tree
+    walk's at that row, is built the first time it is read, and kept: a
+    caller that reads only the keys, or only the first error, walks no
+    other row.  The walk reads the run's columns then, so they must not
+    change in between.
+    """
+
+    def __init__(self, exprs: tuple[Expr, ...], columns: Mapping[str, np.ndarray]):
+        self._exprs = exprs
+        self._columns = dict(columns)
+        self._errors: dict[int, ExpressionError | None] = {}  # None: not built yet
+
+    def _defer(self, row: int) -> None:
+        self._errors[row] = None
+
+    def _walk(self, row: int) -> list[float] | None:
+        """The tree walk's values at the row, or None once its error is kept."""
+        try:
+            return _evaluate_all(self._exprs, {n: c[row] for n, c in self._columns.items()})
+        except ExpressionError as exc:
+            # kept without traceback and context: both reach this frame, and
+            # so this map, a cycle that would hold the columns until the
+            # collector's oldest generation runs
+            exc.__traceback__ = exc.__context__ = None
+            self._errors[row] = exc
+            return None
+
+    def __getitem__(self, row: int) -> ExpressionError:
+        error = self._errors[row]
+        if error is None:
+            if self._walk(row) is not None:
+                raise RuntimeError(f"row {row} was proved to fail, yet evaluates")
+            error = self._errors[row]
+        return error
+
+    def __setitem__(self, row: int, error: ExpressionError) -> None:
+        self._errors[row] = error
+
+    def __delitem__(self, row: int) -> None:
+        del self._errors[row]
+
+    def __contains__(self, row) -> bool:
+        return row in self._errors
+
+    def __iter__(self):
+        return iter(self._errors)
+
+    def __len__(self) -> int:
+        return len(self._errors)
+
+
 def _column_run(
     exprs: tuple[Expr, ...], program: tuple, columns: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, dict[int, ExpressionError]]:
+) -> tuple[np.ndarray, RowErrors]:
     """The values of ``exprs`` at every row of ``columns`` (one array per
     variable, all of one length), as a ``(len(exprs), rows)`` array, and
-    the :class:`ExpressionError` of each row where :func:`evaluate` raises.
+    the :class:`RowErrors` of the rows where :func:`evaluate` raises.
 
     ``program`` is the family's tape as ``(template, names, instructions,
-    roots)``.  Each instruction runs once over the whole column: as a numpy
+    roots, leaves)``, where ``leaves`` are the slots of its constants and
+    inputs.  Each instruction runs once over the whole column: as a numpy
     ufunc where numpy computes the same IEEE operation, or element by
-    element through the scalar instruction.  Every row where a slot ends
-    non-finite or a scalar instruction raises (NaN there), where the scalar
-    loop falls back to the tree walk, is evaluated by the walk; so each
-    value and each error is the scalar loop's own.  A failed row holds NaN.
+    element through the scalar instruction (NaN where it raises).
+
+    A row where every slot ends finite holds the scalar loop's values.  A
+    row where one does not, but every leaf is finite, fails, and is only
+    marked: the walk runs the same instructions, so the first slot in its
+    order that ends non-finite is an instruction of finite operands that
+    raises, or whose non-finite result :func:`_apply` raises on.  The walk
+    evaluates every other row where a slot ends non-finite, as it may
+    return values there.  So each value and each error is the scalar loop's
+    own.  A failed row holds NaN.
     """
-    template, names, tape, roots = program
+    template, names, tape, roots, leaves = program
     rows = len(next(iter(columns.values()), ()))
-    redo = range(rows)
     values = np.empty((len(template), rows))
     slot_values = list(values)
     try:
         for slot, name in names:
             slot_values[slot][:] = columns[name]
-    except KeyError:  # an unbound name: let each row raise it
-        pass
+    except KeyError:  # an unbound name: no leaf is finite, so the walk takes every row
+        values[:] = math.nan
+        suspect = np.arange(rows)
     else:
         for slot, value in enumerate(template):
             if value is not None:
@@ -720,24 +785,23 @@ def _column_run(
                     ufunc(slot_values[a], out=slot_values[slot])
                 else:
                     ufunc(slot_values[a], slot_values[b], out=slot_values[slot])
-            redo = np.flatnonzero(~np.isfinite(values.sum(axis=0))).tolist()
+            # the sum is finite only where every slot is
+            suspect = np.flatnonzero(~np.isfinite(values.sum(axis=0)))
     out = values[list(roots)]
-    listed = {name: np.asarray(column).tolist() for name, column in columns.items()}
-    errors: dict[int, ExpressionError] = {}
-    redone = []
-    for row in redo:
-        try:
-            bindings = {name: column[row] for name, column in listed.items()}
-            redone.append(_evaluate_all(exprs, bindings))
-        except ExpressionError as exc:
-            redone.append((math.nan,) * len(exprs))
-            # kept without traceback and context: both reach this frame, and
-            # so this map, a cycle that would hold the columns until the
-            # collector's oldest generation runs
-            exc.__traceback__ = exc.__context__ = None
-            errors[row] = exc
-    if redone:
-        out[:, redo] = np.array(redone).reshape(len(redone), len(exprs)).T
+    errors = RowErrors(exprs, columns)
+    if suspect.size:
+        finite = np.isfinite(values[:, suspect])
+        nonfinite = ~finite.all(axis=0)
+        proved = finite[leaves][:, nonfinite].all(axis=0).tolist()
+        failed = suspect[nonfinite].tolist()
+        out[:, failed] = math.nan
+        for row, known in zip(failed, proved):
+            if known:
+                errors._defer(row)
+            else:
+                walked = errors._walk(row)
+                if walked is not None:
+                    out[:, row] = walked
     return out, errors
 
 

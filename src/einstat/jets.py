@@ -528,7 +528,9 @@ def _action_tape(gen: GeneratorField, equation: Expr) -> Callable:
 @_plan_cache
 def _invariance_tape(gen: GeneratorField, function: Expr) -> Callable:
     """The tape of the pairs (coefficient, partial of the function) whose
-    products sum to ``X(f)``."""
+    products sum to ``X(f)``, then of the function itself: a point where
+    ``f`` is undefined is no evidence, though its partials may be defined
+    there (``ln(-1) + t``)."""
     extra = free_variables(function) - {"t", "x", "u"}
     if extra:
         raise ValueError(f"invariant candidate depends on {sorted(extra)}")
@@ -538,6 +540,7 @@ def _invariance_tape(gen: GeneratorField, function: Expr) -> Callable:
             gen.xi_t, differentiate(function, "t"),
             gen.xi_x, differentiate(function, "x"),
             gen.eta, differentiate(function, "u"),
+            function,
         ]
     )
 
@@ -545,13 +548,13 @@ def _invariance_tape(gen: GeneratorField, function: Expr) -> Callable:
 @_sample_cache
 def _on_shell_samples(
     equation: Expr, leading: str, samples: int, seed: int
-) -> tuple[Expr, bool, dict[str, np.ndarray], dict[int, ExpressionError], ExpressionError | None]:
+) -> tuple[Expr, bool, dict[str, np.ndarray], int, ExpressionError | None]:
     """What :func:`lsc_check` computes before any generator enters: the
     simplified equation; whether the affinity probe finds it affine; and, if
-    so, the jet columns of the samples before the first failing one, the
-    leading coordinate solved (read-only), the base tape's errors there, and
-    the first failing sample's error (its leading coefficient's, or
-    exhaustion), or None."""
+    so, the jet columns of the samples before the first one whose leading
+    coefficient fails, with the leading coordinate solved (read-only); and
+    the first failing sample with its error (the base tape's, its leading
+    coefficient's, or exhaustion), or ``samples`` and None."""
     equation, second, leading_tape, base_tape = _leading_plan(equation, leading)
     names = jet_variables(MAX_JET_ORDER)
     width = len(names)
@@ -561,36 +564,44 @@ def _on_shell_samples(
     probe = _stream_block(streams[..., samples:], 0, 8 * width)
     for point in probe.reshape(8, width).tolist():
         if abs(evaluate(second, dict(zip(names, point)))) > 1e-9:
-            return equation, False, {}, {}, None
+            return equation, False, {}, samples, None
 
     draws = np.empty((samples, width))
     a = np.empty(samples)
-    failures: dict[int, ExpressionError] = {}  # leading coefficient errors and exhaustion
+    failures = {}  # failed sample -> the errors of its draw and its row there
     pending = np.arange(samples)
     for depth in range(_RESAMPLE_LIMIT):
         # draw number depth of each stream still pending, and only that one
         draws[pending] = _stream_block(streams[..., pending], width * depth, width)
         values, errors = leading_tape.columns(dict(zip(names, draws[pending].T)))
         a[pending] = values[0]
-        failures.update((int(pending[j]), exc) for j, exc in errors.items())
+        failures.update((int(pending[j]), (errors, j)) for j in errors)
         redraw = ~(np.abs(values[0]) >= _LEADING_FLOOR)
         redraw[list(errors)] = False
         pending = pending[redraw]
         if not pending.size:
             break
-    for row in pending.tolist():
-        failures[row] = UnsupportedEquationError(
-            f"leading coefficient stayed below {_LEADING_FLOOR} while resampling"
-        )
     # samples past the first failed one are never reached
-    first = min(failures, default=samples)
+    first = min([*failures, *pending.tolist()], default=samples)
     draws.flags.writeable = False
     columns = dict(zip(names, draws[:first].T))
     (b0,), base_errors = base_tape.columns(columns)
     with np.errstate(all="ignore"):
         columns[leading] = -b0 / a[:first]
     columns[leading].flags.writeable = False
-    return equation, True, columns, base_errors, failures.get(first)
+    if base_errors:  # each before the first failed leading coefficient
+        first = min(base_errors)
+        failure = base_errors[first]
+    elif first in failures:
+        errors, j = failures[first]
+        failure = errors[j]
+    elif first < samples:
+        failure = UnsupportedEquationError(
+            f"leading coefficient stayed below {_LEADING_FLOOR} while resampling"
+        )
+    else:
+        failure = None
+    return equation, True, columns, first, failure
 
 
 def _fresh(exc: Exception) -> Exception:
@@ -632,7 +643,7 @@ def lsc_check(
     _check_samples(samples)
     if parse_jet_name(leading) is None:
         raise UnsupportedEquationError(f"'{leading}' is not a jet coordinate")
-    equation, affine, columns, base_errors, failure = _on_shell_samples(
+    equation, affine, columns, failed, failure = _on_shell_samples(
         equation, leading, samples, seed
     )
     if not affine:
@@ -640,10 +651,10 @@ def lsc_check(
             f"equation is not affine in leading coordinate '{leading}'"
         )
     # built after the probe, so an order overflow never comes before "not affine"
-    values, term_errors = _action_tape(gen, equation).columns(columns)
-    errors = {**term_errors, **base_errors}  # at one sample, base comes first
-    if errors:
-        raise _fresh(errors[min(errors)])
+    values, errors = _action_tape(gen, equation).columns(columns)
+    first = min(errors, default=failed)
+    if first < failed:  # at one sample, the base's error comes first
+        raise _fresh(errors[first])
     if failure is not None:
         raise _fresh(failure)
     worst = worst_residual(_relative_actions(values).tolist())
@@ -680,7 +691,8 @@ def invariance_check(
     names = ("t", "x", "u")
     draws = _invariance_draws(samples, seed)
     values, errors = tape.columns(dict(zip(names, draws.T)))
-    residuals = np.delete(_relative_actions(values), list(errors)).tolist()
+    # the last row is f's own: where it fails, the sample is skipped
+    residuals = np.delete(_relative_actions(values[:-1]), list(errors)).tolist()
     evaluated = len(residuals)
     worst = worst_residual(residuals)
     passed = evaluated > 0 and worst < tolerance

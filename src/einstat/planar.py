@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, MutableMapping, Sequence
 
 import numpy as np
 
@@ -96,9 +96,9 @@ def _division_by_zero(row: int) -> ZeroDivisionError:
     return ZeroDivisionError("float division by zero")
 
 
-def _raise_first(*failures: dict[int, Exception]) -> None:
+def _raise_first(*failures: Mapping[int, Exception]) -> None:
     """Raise the error of the first failed point; at one point, the maps'
-    errors rank in the order they are given."""
+    errors rank in the order they are given.  No other error is read."""
     rows = [min(failed) for failed in failures if failed]
     if rows:
         row = min(rows)
@@ -136,18 +136,19 @@ class PointValues:
     point (from :func:`evaluate_points`) or as one value each (at one
     point), NaN where the point failed.  ``failed`` maps a point to the
     error met before its Hessian exists (outside the domain, or the Hessian
-    tape's), ``cubic_failed`` to the cubic tape's.  Each method reduces the
-    values to one check's, in the same shape, and raises the error the
-    check meets first, point by point and at each point in the order of
-    the scalar formulas (Python's own float errors included).  Where the
-    Hessian scale's square overflows, the formulas run on the values
-    divided by the scale (:meth:`_normalized`).
+    tape's), ``cubic_failed`` to the cubic tape's; a column run builds an
+    error only when it is read (``expressions.RowErrors``).  Each method
+    reduces the values to one check's, in the same shape, and raises the
+    error the check meets first, point by point and at each point in the
+    order of the scalar formulas (Python's own float errors included).
+    Where the Hessian scale's square overflows, the formulas run on the
+    values divided by the scale (:meth:`_normalized`).
     """
 
     hessian: np.ndarray
     cubic: np.ndarray | None
-    failed: dict[int, ExpressionError]
-    cubic_failed: dict[int, ExpressionError]
+    failed: MutableMapping[int, ExpressionError]
+    cubic_failed: Mapping[int, ExpressionError]
 
     def _scale(self) -> np.ndarray:
         return np.abs(self.hessian).max(axis=0)

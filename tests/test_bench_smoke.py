@@ -126,6 +126,29 @@ def test_a_symmetry_pass_derives_each_sample_set_once(monkeypatch):
     assert len(calls) == 0
 
 
+def test_a_warm_symmetry_pass_walks_no_tree(monkeypatch):
+    # a column run only marks a row it proves to fail, and the invariant
+    # checks read no error; walking each such row to build its error made
+    # 574 walks a pass at seed 7
+    from einstat import expressions
+
+    walks = 0
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    walk = expressions._evaluate_all
+    monkeypatch.setattr(expressions, "_evaluate_all", counted)
+    for seed in (SEED, 7):
+        items = workloads.WORKLOADS["symmetry"].inputs(seed, 0)
+        run_pass(items)
+        walks = 0
+        run_pass(items)
+        assert walks == 0
+
+
 def test_a_cold_unseen_pass_differentiates_each_shared_node_once(monkeypatch):
     # derivatives share their inputs' subtrees; without one memo per call and
     # per derivative family, this pass applies 29 134 derivative rules, and

@@ -412,6 +412,13 @@ class TestInvariantCommand:
         )
         assert code == 1
 
+    def test_candidate_defined_nowhere_is_not_evidence(self, capsys):
+        # f = ln(-1) + t raises everywhere, though its partials are defined
+        code, out, _ = run(capsys, "invariant", "check", "--gen", "H1", "--expr", "ln(-1)+t")
+        result = json.loads(out)["results"][0]
+        assert code == 1
+        assert (result["evaluated"], result["skipped"], result["pass"]) == (0, 200, False)
+
 
 class TestCatalogCommand:
     def test_list_contains_all(self, capsys):

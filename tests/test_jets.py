@@ -350,6 +350,7 @@ def reference_invariance_check(gen, function, samples=200, seed=42, tolerance=1e
             gen.xi_t, differentiate(function, "t"),
             gen.xi_x, differentiate(function, "x"),
             gen.eta, differentiate(function, "u"),
+            function,  # a point where f is undefined is skipped
         ]
     )
     residuals = []
@@ -361,7 +362,7 @@ def reference_invariance_check(gen, function, samples=200, seed=42, tolerance=1e
         except ExpressionError:
             skipped += 1
             continue
-        residuals.append(_reference_relative_action(values))
+        residuals.append(_reference_relative_action(values[:-1]))
     worst = worst_residual(residuals)
     passed = len(residuals) > 0 and worst < tolerance
     return InvarianceReport(gen.name, samples, len(residuals), skipped, worst, tolerance, passed)

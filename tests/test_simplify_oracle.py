@@ -23,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from einstat import geometry, jets
+from einstat import expressions, geometry, jets
 from einstat.catalog import entry_names, get_entry
 from einstat.expressions import (
     ONE,
@@ -41,6 +41,9 @@ from einstat.expressions import (
     Pow,
     Sub,
     Var,
+    _COLUMN_UFUNCS,
+    _elementwise,
+    _evaluate_all,
     _is_integral,
     _is_num,
     compile_family,
@@ -470,6 +473,127 @@ class TestRandomTreeWalkers:
 
         check()
 
+
+# -- reference: the eager column run ------------------------------------------
+
+def _eager_column_run(exprs, program, columns):
+    """The column run before failing rows were only marked, kept verbatim:
+    every row where a slot ends non-finite is evaluated by the tree walk at
+    once, and its error is built there."""
+    template, names, tape, roots = program
+    rows = len(next(iter(columns.values()), ()))
+    redo = range(rows)
+    values = np.empty((len(template), rows))
+    slot_values = list(values)
+    try:
+        for slot, name in names:
+            slot_values[slot][:] = columns[name]
+    except KeyError:  # an unbound name: let each row raise it
+        pass
+    else:
+        for slot, value in enumerate(template):
+            if value is not None:
+                slot_values[slot][:] = value
+        with np.errstate(all="ignore"):
+            for slot, fn, a, b in tape:
+                ufunc = _COLUMN_UFUNCS.get(fn)
+                if ufunc is None:
+                    args = [slot_values[a].tolist()]
+                    if b >= 0:
+                        args.append(slot_values[b].tolist())
+                    slot_values[slot][:] = _elementwise(fn, *args)
+                elif b < 0:
+                    ufunc(slot_values[a], out=slot_values[slot])
+                else:
+                    ufunc(slot_values[a], slot_values[b], out=slot_values[slot])
+            redo = np.flatnonzero(~np.isfinite(values.sum(axis=0))).tolist()
+    out = values[list(roots)]
+    listed = {name: np.asarray(column).tolist() for name, column in columns.items()}
+    errors = {}
+    redone = []
+    for row in redo:
+        try:
+            bindings = {name: column[row] for name, column in listed.items()}
+            redone.append(_evaluate_all(exprs, bindings))
+        except ExpressionError as exc:
+            redone.append((math.nan,) * len(exprs))
+            exc.__traceback__ = exc.__context__ = None
+            errors[row] = exc
+    if redone:
+        out[:, redo] = np.array(redone).reshape(len(redone), len(exprs)).T
+    return out, errors
+
+
+#: Trees a family may gain beyond the random ones: a constant that
+#: overflows to inf, an unknown constant, an unknown function, an unbound
+#: name.
+_ODD_TREES = [
+    parse("1e400*t"),
+    Add(Const("nope"), Var("x")),
+    Call("nope", Var("t")),
+    Mul(Var("y"), Var("x")),
+]
+
+
+class TestLazyRowErrors:
+    """The column run marks the rows it proves to fail and builds their
+    errors when read: the same keys, errors and values as the eager run."""
+
+    def test_keys_errors_and_values_are_the_eager_runs(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        special = st.sampled_from(
+            [0.0, -0.0, -1.0, 0.5, 800.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+        )
+        coordinate = special | st.floats(-3.0, 3.0, allow_nan=False)
+        rows = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12)
+        odd = st.lists(st.sampled_from(_ODD_TREES), max_size=1)
+        walks = []
+        seen = set()
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        walk = expressions._evaluate_all
+        monkeypatch.setattr(expressions, "_evaluate_all", counted)
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(_random_trees(st), min_size=1, max_size=3), odd, rows)
+        def check(family, extra, points):
+            family = family + extra
+            tape = compile_family(family)
+            ts, xs = (np.array(column) for column in zip(*points))
+            columns = {"t": ts, "x": xs}
+            expected_values, expected_errors = _eager_column_run(
+                tuple(family), tape.columns.args[1][:4], columns
+            )
+            walks.clear()
+            values, errors = tape.columns(columns)
+            eager = len(walks)
+            assert _bits(values.ravel().tolist()) == _bits(expected_values.ravel().tolist())
+            raising = []
+            for row, (t, x) in enumerate(points):
+                try:
+                    for e in family:
+                        evaluate(e, {"t": t, "x": x})
+                except ExpressionError as exc:
+                    raising.append(row)
+                    walks.clear()
+                    for _ in range(2):  # built once
+                        assert type(errors[row]) is type(exc)
+                        assert str(errors[row]) == str(exc)
+                    assert len(walks) <= 1
+                    seen.add(len(walks) == 0)
+            assert list(errors) == raising == list(expected_errors)
+            # a row whose inputs and constants are all finite is never walked
+            # by the run itself
+            finite = np.isfinite(ts) & np.isfinite(xs)
+            if not extra:
+                assert eager <= np.count_nonzero(~finite)
+
+        check()
+        assert seen == {True, False}  # some errors were built eagerly, some when read
 
 #: sympy's operator per binary node type.
 _SYMPY_BINARY = {

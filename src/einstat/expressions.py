@@ -26,6 +26,7 @@ with one Richardson extrapolation level.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import operator
@@ -441,6 +442,11 @@ def free_variables(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
+#: A number's bits, which key it in a tape and in an intern table, so 0.0
+#: and -0.0 stay apart.
+_bits = struct.Struct("<d").pack
+
+
 def _is_integral(value: float) -> bool:
     return abs(value) < 1e15 and value == int(value)
 
@@ -607,7 +613,7 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
         if operands:
             key = (_op(node), *operands)
         elif isinstance(node, Num):  # keyed by its bits, so 0.0 and -0.0 stay apart
-            key, value = (Num, struct.pack("<d", node.value)), node.value
+            key, value = (Num, _bits(node.value)), node.value
         elif isinstance(node, Var):
             key = (Var, node.name)
         else:
@@ -831,6 +837,38 @@ def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
 # returns an operand, a number, or a node none of whose operands can be
 # rewritten further, so one bottom-up pass through them reaches a fixpoint.
 
+#: The intern table of the running :class:`Differentiator`, or None outside
+#: one, per thread; only ``Differentiator.__call__`` sets it, and resets it.
+_interned: contextvars.ContextVar[dict | None] = contextvars.ContextVar("interned", default=None)
+_active_table = _interned.get
+
+
+def _node(kind: type, *fields) -> Expr:
+    """``kind(*fields)``, or, while a :class:`Differentiator` runs, the
+    node of its intern table with the same type and fields by identity."""
+    table = _active_table()
+    if table is None:
+        return kind(*fields)
+    key = (kind, *map(id, fields))
+    node = table.get(key)
+    if node is None:
+        node = table[key] = kind(*fields)
+    return node
+
+
+def _num(value: float) -> Num:
+    """``Num(value)``, or the number of the running intern table with the
+    same bits, as :func:`_node`."""
+    table = _active_table()
+    if table is None:
+        return Num(value)
+    key = _bits(value)  # bytes: never equal to a node's tuple key
+    node = table.get(key)
+    if node is None:
+        node = table[key] = Num(value)
+    return node
+
+
 def _is_num(e: Expr, value: float) -> bool:
     return isinstance(e, Num) and e.value == value
 
@@ -839,7 +877,7 @@ def _fold(e: Expr) -> Expr:
     """``e``, whose operands are numbers, as a number unless it cannot be
     evaluated."""
     try:
-        return Num(_apply(e, [o.value for o in _operands(e)]))
+        return _num(_apply(e, [o.value for o in _operands(e)]))
     except ExpressionError:
         return e
 
@@ -850,8 +888,8 @@ def _add(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 0.0):
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return _fold(Add(a, b))
-    return Add(a, b)
+        return _fold(_node(Add, a, b))
+    return _node(Add, a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
@@ -860,8 +898,8 @@ def _sub(a: Expr, b: Expr) -> Expr:
     if _is_num(a, 0.0):
         return _neg(b)
     if isinstance(a, Num) and isinstance(b, Num):
-        return _fold(Sub(a, b))
-    return Sub(a, b)
+        return _fold(_node(Sub, a, b))
+    return _node(Sub, a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
@@ -872,8 +910,8 @@ def _mul(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 1.0):
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return _fold(Mul(a, b))
-    return Mul(a, b)
+        return _fold(_node(Mul, a, b))
+    return _node(Mul, a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -882,16 +920,16 @@ def _div(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 1.0):
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return _fold(Div(a, b))
-    return Div(a, b)
+        return _fold(_node(Div, a, b))
+    return _node(Div, a, b)
 
 
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Num):
-        return Num(-a.value)
+        return _num(-a.value)
     if isinstance(a, Neg):
         return a.arg
-    return Neg(a)
+    return _node(Neg, a)
 
 
 def _pow(a: Expr, b: Expr) -> Expr:
@@ -900,7 +938,7 @@ def _pow(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 0.0):
         return ONE
     if isinstance(a, Num) and isinstance(b, Num):
-        return _fold(Pow(a, b))
+        return _fold(_node(Pow, a, b))
     # (c^m)^n with integral m, n and m n collapses to c^(m n); a product
     # past the integral range would make a negative c leave the domain
     if (
@@ -911,14 +949,14 @@ def _pow(a: Expr, b: Expr) -> Expr:
         and _is_integral(b.value)
         and _is_integral(a.exponent.value * b.value)
     ):
-        return _pow(a.base, Num(a.exponent.value * b.value))
-    return Pow(a, b)
+        return _pow(a.base, _num(a.exponent.value * b.value))
+    return _node(Pow, a, b)
 
 
 def _call(func: str, arg: Expr) -> Expr:
     if isinstance(arg, Num):
-        return _fold(Call(func, arg))
-    return Call(func, arg)
+        return _fold(_node(Call, func, arg))
+    return _node(Call, func, arg)
 
 
 # -- differentiation ---------------------------------------------------------
@@ -929,7 +967,7 @@ def _power_rule(e: Pow, name: str, memo: dict) -> Expr:
     b, p = e.base, e.exponent
     db = _derive(b, name, memo)
     if isinstance(p, Num):
-        return _mul(_mul(p, _pow(b, Num(p.value - 1.0))), db)
+        return _mul(_mul(p, _pow(b, _num(p.value - 1.0))), db)
     if isinstance(p, Const):
         return _mul(_mul(p, _pow(b, _sub(p, ONE))), db)
     dp = _derive(p, name, memo)
@@ -948,12 +986,12 @@ _DERIVATIVES: dict = {
     ),
     Div: lambda e, v, m: _div(
         _sub(_mul(_derive(e.left, v, m), e.right), _mul(e.left, _derive(e.right, v, m))),
-        _pow(e.right, Num(2.0)),
+        _pow(e.right, _num(2.0)),
     ),
     Pow: _power_rule,
     "exp": lambda e, v, m: _mul(e, _derive(e.arg, v, m)),
     "ln": lambda e, v, m: _div(_derive(e.arg, v, m), e.arg),
-    "sqrt": lambda e, v, m: _div(_derive(e.arg, v, m), _mul(Num(2.0), e)),
+    "sqrt": lambda e, v, m: _div(_derive(e.arg, v, m), _mul(_num(2.0), e)),
     "sin": lambda e, v, m: _mul(_call("cos", e.arg), _derive(e.arg, v, m)),
     "cos": lambda e, v, m: _neg(_mul(_call("sin", e.arg), _derive(e.arg, v, m))),
 }
@@ -967,19 +1005,34 @@ class Differentiator:
     A derivative reuses its input's subtrees by reference, so derivatives
     are DAGs, and a walk without the memo would differentiate a subtree
     once per path to it.  The memo keeps every node it has differentiated,
-    so no id is reused while it lives.  Nothing it holds refers back to
-    it, so it makes no reference cycle and is freed as soon as its builder
-    drops it.
+    so no id is reused while it lives.
+
+    Beside the memo it keeps an intern table, for as long as it lives.
+    While one of its calls runs, and only then, the smart constructors
+    return the node the table holds for the same type and operand objects
+    (a number by its bits), and add the nodes it lacks.  So a structure
+    the rules build again and again, such as ``Num(2.0)`` or ``b^2``, is
+    one object over the family, which the memo and :func:`compile_family`'s
+    walk each meet once.  The table holds its nodes, and they their
+    operands, so no id in a key is reused while it lives.  Neither the
+    memo nor the table refers back to the differentiator, so it makes no
+    reference cycle and is freed as soon as its builder drops it.
     """
 
-    __slots__ = ("_memos",)
+    __slots__ = ("_memos", "_table")
 
     def __init__(self) -> None:
         # per variable: id(node) -> (node, derivative)
         self._memos: dict[str, dict[int, tuple[Expr, Expr]]] = {}
+        # (type, id of each field) -> node, and a number's bits -> number
+        self._table: dict = {}
 
     def __call__(self, e: Expr, name: str) -> Expr:
-        return _derive(e, name, self._memos.setdefault(name, {}))
+        token = _interned.set(self._table)
+        try:
+            return _derive(e, name, self._memos.setdefault(name, {}))
+        finally:
+            _interned.reset(token)
 
 
 def _derive(e: Expr, name: str, memo: dict) -> Expr:

@@ -175,7 +175,9 @@ class PotentialSpec:
 
 
 def _resolve(e: Expr, constants: tuple[tuple[str, float], ...]) -> Expr:
-    return simplify(substitute(e, {cname: Num(cvalue) for cname, cvalue in constants}))
+    if constants:  # substitute(e, {}) walks e only to return e itself
+        e = substitute(e, {cname: Num(cvalue) for cname, cvalue in constants})
+    return simplify(e)
 
 
 @lru_cache(maxsize=CACHED_INPUTS)

@@ -2,10 +2,13 @@ import gc
 import math
 import operator
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from einstat import expressions
 from einstat.catalog import entry_names, get_entry
 from einstat.expressions import (
     Add,
@@ -52,8 +55,20 @@ from einstat.geometry import (
     resolved_constraints,
 )
 from einstat.planar import sample_points
+from test_simplify_oracle import _scaling_potential
 
 NORMAL_PSI = "-(t^2)/(4*x) - ln(-x)/2 + ln(pi)/2"
+
+
+def _distinct_nodes(roots) -> int:
+    """The number of distinct node objects in the trees."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(_operands(node))
+    return len(seen)
 
 
 class TestParse:
@@ -280,8 +295,8 @@ class TestDifferentiate:
         assert evaluate(d, {"x": 0.5}) == pytest.approx(slope, rel=1e-12)
 
     def test_a_derivative_family_makes_no_reference_cycle(self):
-        # the memo holds nodes, never the differentiator, so dropping it
-        # frees it by reference counting alone
+        # the memo and the intern table hold nodes, never the differentiator,
+        # so dropping it frees both by reference counting alone
         spec = PotentialSpec.create("no-cycle", 2, NORMAL_PSI, constraints=["-x"])
         gc.collect()
         gc.disable()
@@ -289,13 +304,81 @@ class TestDifferentiate:
             d = Differentiator()
             e = parse(NORMAL_PSI)
             family = [d(d(e, a), b) for a in ("t", "x") for b in ("t", "x")]
+            table = d._table
+            assert table  # the family filled it
             family.append(differentiate(e, "t"))
             family.append(cubic_tensor(spec))
             family.append(_metric_derivative_exprs(fisher_metric(spec)))
             del d, e, family
+            # this name and the argument: no cache or context keeps the table
+            assert sys.getrefcount(table) == 2
+            del table
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_a_differentiator_that_raises_leaves_no_table_active(self):
+        d = Differentiator()
+        t, x = Var("t"), Var("x")
+        exp_t = Call("exp", t)
+        inside = d(Mul(exp_t, t), "t")
+        with pytest.raises(UnknownFunctionError):
+            d(Add(t, Call("foo", t)), "t")
+        assert expressions._interned.get() is None
+        # outside a call every node is built afresh, as before
+        assert expressions._mul(t, x) is not expressions._mul(t, x)
+        # a new product of the same operands misses the memo, and its
+        # derivative is the table's node
+        assert d(Mul(exp_t, t), "t") is inside
+
+    def test_threads_differentiating_at_once_leave_no_table_active(self):
+        # each thread has its own active table: a module-wide one would be
+        # left set, or another thread's, when calls of two threads interleave
+        psi = parse(NORMAL_PSI)
+        expected = repr(differentiate(differentiate(psi, "t"), "x"))
+        t, x = Var("t"), Var("x")
+        outcomes = []
+
+        def work():
+            same = True
+            for _ in range(200):
+                d = Differentiator()
+                same = same and repr(d(d(psi, "t"), "x")) == expected
+            outcomes.append(
+                same
+                and expressions._interned.get() is None
+                and expressions._mul(t, x) is not expressions._mul(t, x)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [True] * 4
+        assert expressions._interned.get() is None
+
+    def test_one_family_builds_each_structure_once(self):
+        # the rules build Num(2.0), Num(p - 1) and b^2 afresh each time they
+        # fire; interned, the Levi-Civita family of the n = 5 scaling
+        # potential holds 2 084 nodes for 2 079 structures, where it held
+        # 5 206: beyond that, only the duplicates its inputs hold already
+        metric = fisher_metric(_scaling_potential(5, seed=5))
+        entries = metric.upper_entries()
+        first, second = _metric_derivative_exprs(metric)
+
+        def surplus(exprs):
+            # a tape has one slot per structure: the first field of its program
+            slots = len(compile_family(exprs).columns.args[1][0])
+            return _distinct_nodes(exprs) - slots
+
+        assert surplus(entries + first + second) <= surplus(entries)
 
 
 class TestSubstitute:

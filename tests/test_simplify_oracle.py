@@ -473,6 +473,34 @@ class TestRandomTreeWalkers:
 
         check()
 
+    def test_interned_derivatives_are_the_uninterned_ones(self):
+        # a Differentiator's intern table changes which nodes a family shares
+        # by reference, never a tree or the program compiled from the family
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def derivatives(roots):
+            d = expressions.Differentiator()
+            first = [d(e, v) for e in roots for v in ("t", "x")]
+            return roots + first + [d(e, v) for e in first for v in ("t", "x")]
+
+        def program(family):
+            template, names, tape, roots, leaves = compile_family(family).columns.args[1]
+            template = [None if value is None else _bits([value]) for value in template]
+            return template, names, tape, roots, leaves.tolist()
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(_random_trees(st), min_size=1, max_size=3))
+        def check(roots):
+            interned = derivatives(roots)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(expressions, "_active_table", lambda: None)
+                built = derivatives(roots)
+            assert [repr(e) for e in interned] == [repr(e) for e in built]
+            assert program(interned) == program(built)
+
+        check()
+
 
 # -- reference: the eager column run ------------------------------------------
 

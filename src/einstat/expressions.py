@@ -32,7 +32,7 @@ import math
 import operator
 import struct
 import sys
-from collections.abc import MutableMapping
+from collections import UserDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -526,31 +526,34 @@ def _evaluate_all(exprs: Iterable[Expr], bindings: Bindings) -> list[float]:
     """:func:`evaluate` of each tree, in one fold over the family: a
     subtree shared by reference is evaluated once, and the first error in
     the order of the roots, then of the operands, is raised."""
+    return _post_order(exprs, functools.partial(_step, bindings))
 
-    def value(node: Expr, operands: list[float]) -> float:
-        if operands:
-            return _apply(node, operands)
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            try:
-                return float(bindings[node.name])
-            except KeyError:
-                raise UnboundVariableError(node.name) from None
-        if isinstance(node, Const):
-            try:
-                return CONSTANTS[node.name]
-            except KeyError:
-                raise UnknownConstantError(f"unknown named constant '{node.name}'") from None
-        return _apply(node, operands)  # not an expression: raises, naming its type
 
-    return _post_order(exprs, value)
+def _step(bindings: Bindings, node: Expr, operands: list[float]) -> float:
+    """``node``'s value at its operands' values: :func:`evaluate`'s step,
+    which a tape runs again to name its errors (:func:`_run`)."""
+    if operands:
+        return _apply(node, operands)
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return float(bindings[node.name])
+        except KeyError:
+            raise UnboundVariableError(node.name) from None
+    if isinstance(node, Const):
+        try:
+            return CONSTANTS[node.name]
+        except KeyError:
+            raise UnknownConstantError(f"unknown named constant '{node.name}'") from None
+    return _apply(node, operands)  # not an expression: raises, naming its type
 
 
 # -- compiled evaluation -----------------------------------------------------
 
 def _undefined(*operands: float) -> float:
-    """The instruction of a name the grammar lacks: the walk reports it."""
+    """The instruction of a name the grammar lacks: it always raises, and
+    the scalar run names the name (:func:`_run`)."""
     raise LookupError
 
 
@@ -587,26 +590,26 @@ def _post_order(roots: Iterable[Expr], visit: Callable[[Expr, list], object]) ->
 def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, ...]]:
     """Compile expressions into one instruction tape with shared subexpressions.
 
-    The returned callable maps bindings to the same floats, bit for bit, as
-    ``tuple(evaluate(e, bindings) for e in exprs)``: every distinct
-    subexpression gets one slot and is computed once, in dependency order,
-    with the instructions :func:`evaluate` runs.  When an instruction
-    raises (a function or constant the grammar does not name always does)
-    or any slot ends non-finite (which is where :func:`evaluate` may have
-    raised on an overflow), the call evaluates the family again by one tree
-    walk, so every error and the subtree it carries are the walk's own.
+    The returned callable (:func:`_run` of the family's program) maps
+    bindings to the same floats, bit for bit, as ``tuple(evaluate(e,
+    bindings) for e in exprs)``, and raises the same error, with the same
+    subtree: every distinct subexpression gets one slot and is computed
+    once, in the order :func:`evaluate` first meets it, with the
+    instructions :func:`evaluate` runs.  A function or constant the grammar
+    does not name gets an instruction that always raises.
 
     Its ``columns`` attribute evaluates the family over a whole set of
     points (see :func:`_column_run`); nothing is built for that until it
-    is called.
+    is called.  Both are partials of module functions that hold the
+    program only, not the tape, so a dropped tape is freed at once.
     """
-    exprs = tuple(exprs)
     # slots in dependency order, one per structural key, so equal subtrees
     # that are distinct objects share one
     slots: dict[tuple, int] = {}
     template: list = []
     names = []
     tape = []
+    nodes = []  # each slot's first node
 
     def number(node: Expr, operands: list[int]) -> int:
         value = None
@@ -622,6 +625,7 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
         if slot is None:
             slot = slots[key] = len(template)
             template.append(value)
+            nodes.append(node)
             if isinstance(node, Var):
                 names.append((slot, node.name))
             elif value is None:  # an operator, or a constant the grammar lacks
@@ -636,29 +640,44 @@ def compile_family(exprs: Sequence[Expr]) -> Callable[[Bindings], tuple[float, .
         return slot
 
     roots = _post_order(exprs, number)
-    tape = tuple(tape)
     leaves = [slot for slot, value in enumerate(template) if value is not None]
     leaves = np.array(leaves + [slot for slot, _ in names], dtype=np.intp)
-
-    def run(bindings: Bindings) -> tuple[float, ...]:
-        try:
-            values = template[:]
-            for slot, name in names:
-                values[slot] = float(bindings[name])
-            for slot, fn, a, b in tape:
-                values[slot] = fn(values[a]) if b < 0 else fn(values[a], values[b])
-            # the sum is finite only when every slot is; a walk that raises
-            # no overflow returns these same values
-            if math.isfinite(sum(values)):
-                return tuple([values[r] for r in roots])
-        except Exception:
-            pass
-        return tuple(_evaluate_all(exprs, bindings))
-
-    # a partial of a module function: the tape holds no reference to itself,
-    # so it is freed as soon as it is dropped
-    run.columns = functools.partial(_column_run, exprs, (template, names, tape, roots, leaves))
+    program = (template, names, tuple(tape), roots, leaves, nodes)
+    run = functools.partial(_run, program)
+    run.columns = functools.partial(_column_run, program)
     return run
+
+
+def _run(program: tuple, bindings: Bindings) -> tuple[float, ...]:
+    """The scalar run of a tape's ``program`` (see :func:`compile_family`)
+    at one point.
+
+    The instructions run on Python floats.  When one raises, or a slot ends
+    non-finite, :func:`evaluate`'s step for one node (:func:`_step`) runs
+    again at each slot that is unset or non-finite, in slot order, which
+    is the order :func:`evaluate` first meets the nodes: the first step
+    that raises is :func:`evaluate`'s error, at the same subtree, and if
+    none does, the values are :func:`evaluate`'s.
+    """
+    template, names, tape, roots, _, nodes = program
+    values = template[:]
+    try:
+        for slot, name in names:
+            values[slot] = float(bindings[name])
+        for slot, fn, a, b in tape:
+            values[slot] = fn(values[a]) if b < 0 else fn(values[a], values[b])
+        # the sum is finite only when every slot is, and a finite slot holds
+        # the walk's value
+        if math.isfinite(sum(values)):
+            return tuple([values[r] for r in roots])
+    except Exception:
+        pass
+    operands = {slot: (a, b) for slot, _, a, b in tape}
+    for slot, node in enumerate(nodes):
+        if values[slot] is None or not math.isfinite(values[slot]):
+            taken = operands.get(slot, ())[: len(_operands(node))]
+            values[slot] = _step(bindings, node, [values[o] for o in taken])
+    return tuple([values[r] for r in roots])
 
 
 #: Column instruction for each scalar one that numpy computes with the same
@@ -688,113 +707,86 @@ def _elementwise(fn: Callable, *args: list) -> list:
         return out
 
 
-class RowErrors(MutableMapping):
+class RowErrors(UserDict):
     """The :class:`ExpressionError` of each failed row of a column run
     (:func:`_column_run`), keyed by row; the run adds them in row order.
 
-    A row the run proves to fail is a key at once, and its error, the tree
-    walk's at that row, is built the first time it is read, and kept: a
-    caller that reads only the keys, or only the first error, walks no
-    other row.  The walk reads the run's columns then, so they must not
-    change in between.
+    A row the run proves to fail is a key at once, and its error, the
+    scalar run's at that row, is built the first time it is read, and kept:
+    a caller that reads only the keys, or only the first error, evaluates
+    no other row.  The scalar run reads the run's columns then, so they
+    must not change in between.
     """
 
-    def __init__(self, exprs: tuple[Expr, ...], columns: Mapping[str, np.ndarray]):
-        self._exprs = exprs
+    def __init__(self, program: tuple, columns: Mapping[str, np.ndarray]):
+        super().__init__()
+        self._program = program
         self._columns = dict(columns)
-        self._errors: dict[int, ExpressionError | None] = {}  # None: not built yet
 
-    def _defer(self, row: int) -> None:
-        self._errors[row] = None
-
-    def _walk(self, row: int) -> list[float] | None:
-        """The tree walk's values at the row, or None once its error is kept."""
+    def _evaluate(self, row: int) -> tuple[float, ...] | None:
+        """The scalar run's values at the row, or None once its error is kept."""
         try:
-            return _evaluate_all(self._exprs, {n: c[row] for n, c in self._columns.items()})
+            return _run(self._program, {n: c[row] for n, c in self._columns.items()})
         except ExpressionError as exc:
             # kept without traceback and context: both reach this frame, and
             # so this map, a cycle that would hold the columns until the
             # collector's oldest generation runs
             exc.__traceback__ = exc.__context__ = None
-            self._errors[row] = exc
+            self.data[row] = exc
             return None
 
     def __getitem__(self, row: int) -> ExpressionError:
-        error = self._errors[row]
-        if error is None:
-            if self._walk(row) is not None:
-                raise RuntimeError(f"row {row} was proved to fail, yet evaluates")
-            error = self._errors[row]
-        return error
-
-    def __setitem__(self, row: int, error: ExpressionError) -> None:
-        self._errors[row] = error
-
-    def __delitem__(self, row: int) -> None:
-        del self._errors[row]
-
-    def __contains__(self, row) -> bool:
-        return row in self._errors
-
-    def __iter__(self):
-        return iter(self._errors)
-
-    def __len__(self) -> int:
-        return len(self._errors)
+        if self.data[row] is None:  # proved to fail, not built yet
+            self._evaluate(row)
+        return self.data[row]
 
 
-def _column_run(
-    exprs: tuple[Expr, ...], program: tuple, columns: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, RowErrors]:
-    """The values of ``exprs`` at every row of ``columns`` (one array per
-    variable, all of one length), as a ``(len(exprs), rows)`` array, and
-    the :class:`RowErrors` of the rows where :func:`evaluate` raises.
+def _column_run(program: tuple, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, RowErrors]:
+    """The values of a tape's family at every row of ``columns`` (one array
+    per variable, all of one length), as a ``(len(family), rows)`` array,
+    and the :class:`RowErrors` of the rows where :func:`evaluate` raises.
 
     ``program`` is the family's tape as ``(template, names, instructions,
-    roots, leaves)``, where ``leaves`` are the slots of its constants and
-    inputs.  Each instruction runs once over the whole column: as a numpy
-    ufunc where numpy computes the same IEEE operation, or element by
-    element through the scalar instruction (NaN where it raises).
+    roots, leaves, nodes)``, where ``leaves`` are the slots of its constants
+    and inputs.  Each instruction runs once over the whole column: as a
+    numpy ufunc where numpy computes the same IEEE operation, or element by
+    element through the scalar instruction (NaN where it raises).  A name
+    missing from ``columns`` reads NaN.
 
-    A row where every slot ends finite holds the scalar loop's values.  A
+    A row where every slot ends finite holds the scalar run's values.  A
     row where one does not, but every leaf is finite, fails, and is only
-    marked: the walk runs the same instructions, so the first slot in its
-    order that ends non-finite is an instruction of finite operands that
-    raises, or whose non-finite result :func:`_apply` raises on.  The walk
-    evaluates every other row where a slot ends non-finite, as it may
-    return values there.  So each value and each error is the scalar loop's
-    own.  A failed row holds NaN.
+    marked: the scalar run computes the same instructions, so its first
+    slot that ends non-finite is an instruction of finite operands that
+    raises, or whose non-finite result :func:`_apply` raises on.  The
+    scalar run evaluates every other row where a slot ends non-finite at
+    once, as it may return values there.  So each value and each error is
+    the scalar run's own.  A failed row holds NaN.
     """
-    template, names, tape, roots, leaves = program
+    template, names, tape, roots, leaves, _ = program
     rows = len(next(iter(columns.values()), ()))
     values = np.empty((len(template), rows))
     slot_values = list(values)
-    try:
-        for slot, name in names:
-            slot_values[slot][:] = columns[name]
-    except KeyError:  # an unbound name: no leaf is finite, so the walk takes every row
-        values[:] = math.nan
-        suspect = np.arange(rows)
-    else:
-        for slot, value in enumerate(template):
-            if value is not None:
-                slot_values[slot][:] = value
-        with np.errstate(all="ignore"):
-            for slot, fn, a, b in tape:
-                ufunc = _COLUMN_UFUNCS.get(fn)
-                if ufunc is None:
-                    args = [slot_values[a].tolist()]
-                    if b >= 0:
-                        args.append(slot_values[b].tolist())
-                    slot_values[slot][:] = _elementwise(fn, *args)
-                elif b < 0:
-                    ufunc(slot_values[a], out=slot_values[slot])
-                else:
-                    ufunc(slot_values[a], slot_values[b], out=slot_values[slot])
-            # the sum is finite only where every slot is
-            suspect = np.flatnonzero(~np.isfinite(values.sum(axis=0)))
+    for slot, name in names:
+        slot_values[slot][:] = columns.get(name, math.nan)
+    for slot, value in enumerate(template):
+        if value is not None:
+            slot_values[slot][:] = value
+    with np.errstate(all="ignore"):
+        for slot, fn, a, b in tape:
+            ufunc = _COLUMN_UFUNCS.get(fn)
+            if ufunc is None:
+                args = [slot_values[a].tolist()]
+                if b >= 0:
+                    args.append(slot_values[b].tolist())
+                slot_values[slot][:] = _elementwise(fn, *args)
+            elif b < 0:
+                ufunc(slot_values[a], out=slot_values[slot])
+            else:
+                ufunc(slot_values[a], slot_values[b], out=slot_values[slot])
+        # the sum is finite only where every slot is
+        suspect = np.flatnonzero(~np.isfinite(values.sum(axis=0)))
     out = values[list(roots)]
-    errors = RowErrors(exprs, columns)
+    errors = RowErrors(program, columns)
     if suspect.size:
         finite = np.isfinite(values[:, suspect])
         nonfinite = ~finite.all(axis=0)
@@ -803,11 +795,11 @@ def _column_run(
         out[:, failed] = math.nan
         for row, known in zip(failed, proved):
             if known:
-                errors._defer(row)
+                errors.data[row] = None
             else:
-                walked = errors._walk(row)
-                if walked is not None:
-                    out[:, row] = walked
+                evaluated = errors._evaluate(row)
+                if evaluated is not None:
+                    out[:, row] = evaluated
     return out, errors
 
 

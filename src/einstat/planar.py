@@ -136,8 +136,9 @@ class PointValues:
     point (from :func:`evaluate_points`) or as one value each (at one
     point), NaN where the point failed.  ``failed`` maps a point to the
     error met before its Hessian exists (outside the domain, or the Hessian
-    tape's), ``cubic_failed`` to the cubic tape's; a column run builds an
-    error only when it is read (``expressions.RowErrors``).  Each method
+    tape's), ``cubic_failed`` to the cubic tape's; a column run builds a
+    proved failure's error, the scalar tape's at that point, only when it
+    is read (``expressions.RowErrors``).  Each method
     reduces the values to one check's, in the same shape, and raises the
     error the check meets first, point by point and at each point in the
     order of the scalar formulas (Python's own float errors included).

@@ -128,19 +128,19 @@ def test_a_symmetry_pass_derives_each_sample_set_once(monkeypatch):
 
 def test_a_warm_symmetry_pass_walks_no_tree(monkeypatch):
     # a column run only marks a row it proves to fail, and the invariant
-    # checks read no error; walking each such row to build its error made
-    # 574 walks a pass at seed 7
+    # checks read no error; evaluating each such row to build its error
+    # made 574 row evaluations a pass at seed 7
     from einstat import expressions
 
     walks = 0
 
-    def counted(*args):
+    def counted(errors, row):
         nonlocal walks
         walks += 1
-        return walk(*args)
+        return evaluate_row(errors, row)
 
-    walk = expressions._evaluate_all
-    monkeypatch.setattr(expressions, "_evaluate_all", counted)
+    evaluate_row = expressions.RowErrors._evaluate
+    monkeypatch.setattr(expressions.RowErrors, "_evaluate", counted)
     for seed in (SEED, 7):
         items = workloads.WORKLOADS["symmetry"].inputs(seed, 0)
         run_pass(items)
@@ -193,7 +193,7 @@ def test_a_cold_unseen_pass_compiles_each_built_structure_once(monkeypatch):
                 stack.extend(expressions._operands(node))
         walked += len(seen)
         tape = compile_family(exprs)
-        slots += len(tape.columns.args[1][0])  # the template: one entry per slot
+        slots += len(tape.columns.args[0][0])  # the template: one entry per slot
         return tape
 
     compile_family = expressions.compile_family

@@ -19,14 +19,16 @@ from einstat.catalog import (
     verify_all,
     verify_entry,
 )
-from einstat.expressions import DomainError, ExpressionError, worst_residual
+from einstat.expressions import DomainError, ExpressionError, Var, substitute, worst_residual
 from einstat.geometry import (
     MetricField,
     PotentialSpec,
     SingularMetricError,
     fisher_metric,
+    resolved_potential,
     ricci_from_metric,
 )
+from einstat.jets import GENERATORS, invariance_check
 from einstat.planar import r1212, sample_points
 
 
@@ -217,6 +219,26 @@ class TestInvariantEntries:
         # curvature parameter
         for name in INVARIANT_NAMES:
             assert get_entry(name).expected_lambda == 1.0
+
+    @pytest.mark.parametrize("name", INVARIANT_NAMES)
+    def test_invariant_under_its_generator(self, name):
+        # invariant-XiaXj is invariant under Xi + a*Xj, with the entry's own
+        # a, and under no other multiple; u - psi(t, x) is annihilated by the
+        # generator exactly where psi is, and most draws of the check, in
+        # [-2, 2]^3 rather than the entry's box, fall outside psi's domain
+        spec = get_entry(name).potential
+        first, second = name.removeprefix("invariant-").split("a")
+        psi = substitute(resolved_potential(spec), {"theta1": Var("t"), "theta2": Var("x")})
+        a = dict(spec.constants)["a"]
+
+        def check(factor):
+            gen = GENERATORS[first] + factor * GENERATORS[second]
+            return invariance_check(gen, Var("u") - psi, samples=200, seed=42)
+
+        report, perturbed = check(a), check(a + 0.5)
+        assert report.passed and report.max_residual <= 1e-15, report  # 1.11e-16 at most
+        assert not perturbed.passed and perturbed.max_residual >= 0.19, perturbed  # 0.2 or 1/3
+        assert report.evaluated == perturbed.evaluated >= 30  # 37 to 82 of the 200
 
 
 class TestDegenerateFamilies:

@@ -375,7 +375,7 @@ class TestDifferentiate:
 
         def surplus(exprs):
             # a tape has one slot per structure: the first field of its program
-            slots = len(compile_family(exprs).columns.args[1][0])
+            slots = len(compile_family(exprs).columns.args[0][0])
             return _distinct_nodes(exprs) - slots
 
         assert surplus(entries + first + second) <= surplus(entries)
@@ -542,6 +542,12 @@ class TestCompiledFamily:
             ("sin(x*1e308*1e308)", {"x": 1.0}),
             ("1/(x*1e308*10)", {"x": 1.0}),  # the overflow vanishes downstream
             ("x + y", {"x": 1.0}),
+            # the first error in the walk's order: an unbound name after a
+            # domain error, the same name before one, and the first of two
+            # equal but distinct failing subtrees
+            ("ln(x - 2) + y", {"x": 1.0}),
+            ("y + ln(x - 2)", {"x": 1.0}),
+            ("sqrt(x - 2)*sqrt(x - 2)", {"x": 1.0}),
         ],
     )
     def test_errors_are_the_tree_walks(self, text, bindings):
@@ -554,10 +560,12 @@ class TestCompiledFamily:
         # and at each row of a column run
         values, errors = tape.columns({k: np.array([v, v]) for k, v in bindings.items()})
         assert np.isnan(values).all()
+        subtree = getattr(walked.value, "subtree", None)
         for error in (taped.value, errors[0], errors[1]):
             assert type(error) is type(walked.value)
             assert str(error) == str(walked.value)
-            assert getattr(error, "subtree", None) == getattr(walked.value, "subtree", None)
+            assert repr(getattr(error, "subtree", None)) == repr(subtree)
+            assert getattr(error, "subtree", None) is subtree  # the walk's own node
 
     @pytest.mark.parametrize("name", entry_names())
     def test_catalog_columns_match_the_scalar_tape_bitwise(self, name):
@@ -745,7 +753,7 @@ def test_pow_by_a_constant_agrees_in_walk_tape_and_columns(exponent):
     node = Pow(Var("x"), Num(exponent))
     bases = [0.0, -0.0, 2.0, -3.0, 0.5, 1e200, -1e200, math.inf, -math.inf, math.nan]
     tape = compile_family([node])
-    (instruction,) = [fn for _, fn, _, _ in tape.columns.args[1][2]]
+    (instruction,) = [fn for _, fn, _, _ in tape.columns.args[0][2]]
     integral = exponent == int(exponent) and abs(exponent) < 1e15
     assert instruction is (operator.pow if integral else _TAPE_OPS[Pow])
     expected = [_outcome(lambda: evaluate(node, {"x": base})) for base in bases]
@@ -769,7 +777,7 @@ def test_pow_by_a_constant_agrees_in_walk_tape_and_columns(exponent):
 
 def test_pow_by_a_variable_or_named_constant_keeps_the_guard():
     for node in (Pow(Var("x"), Var("y")), Pow(Var("x"), Const("pi"))):
-        (instruction,) = [fn for _, fn, _, _ in compile_family([node]).columns.args[1][2]]
+        (instruction,) = [fn for _, fn, _, _ in compile_family([node]).columns.args[0][2]]
         assert instruction is _TAPE_OPS[Pow]
 
 

@@ -40,6 +40,9 @@ from einstat.expressions import (
     Num,
     Pow,
     Sub,
+    UnboundVariableError,
+    UnknownConstantError,
+    UnknownFunctionError,
     Var,
     _COLUMN_UFUNCS,
     _elementwise,
@@ -392,12 +395,17 @@ def _bits(values) -> list[bytes]:
     return [struct.pack("<d", v) for v in values]  # tells 0.0 from -0.0, matches NaNs
 
 
+def _error(exc: Exception) -> tuple:
+    """What names an error: its class, its text and the subtree it carries."""
+    return type(exc), str(exc), repr(getattr(exc, "subtree", None))
+
+
 def _outcome(run):
-    """``run()``'s values as bits, or the class of the error it raised."""
+    """``run()``'s values as bits, or the error it raised (:func:`_error`)."""
     try:
         return _bits(run())
-    except Exception as exc:  # the class is what is compared
-        return type(exc)
+    except Exception as exc:  # compared by what names it
+        return _error(exc)
 
 
 class TestRandomTreeWalkers:
@@ -415,19 +423,41 @@ class TestRandomTreeWalkers:
 
         check()
 
-    def test_tape_is_bitwise_the_tree_walk(self):
+    def test_tape_is_bitwise_the_tree_walk(self, monkeypatch):
+        # the tape names its own errors: it never runs the walk, yet raises
+        # the walk's error, at the walk's subtree, or returns its values
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-        coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+        special = st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan])
+        coordinate = special | st.floats(-3.0, 3.0, allow_nan=False)
+        odd = st.lists(st.sampled_from(_ODD_TREES), max_size=1)
+        walks = []
+        raised = set()
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        walk = expressions._evaluate_all
+        monkeypatch.setattr(expressions, "_evaluate_all", counted)
 
         @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
-        @hypothesis.given(_random_trees(st), coordinate, coordinate)
-        def check(e, t, x):
+        @hypothesis.given(_random_trees(st), odd, coordinate, coordinate)
+        def check(e, extra, t, x):
+            family = [e] + extra
             bindings = {"t": t, "x": x}
-            tape = compile_family([e])
-            assert _outcome(lambda: tape(bindings)) == _outcome(lambda: [evaluate(e, bindings)])
+            tape = compile_family(family)
+            walks.clear()
+            taped = _outcome(lambda: tape(bindings))
+            assert not walks
+            assert taped == _outcome(lambda: [evaluate(e, bindings) for e in family])
+            if isinstance(taped, tuple):
+                raised.add(taped[0])
 
         check()
+        assert raised >= {
+            DomainError, UnboundVariableError, UnknownConstantError, UnknownFunctionError
+        }
 
     def test_column_run_is_bitwise_the_scalar_tape_at_every_row(self):
         # rows that overflow, take ln of a value <= 0 or sqrt of a negative,
@@ -453,8 +483,8 @@ class TestRandomTreeWalkers:
             for row, (t, x) in enumerate(points):
                 expected = _outcome(lambda: tape({"t": t, "x": x}))
                 if row in errors:
-                    assert type(errors[row]) is expected
-                    raised.add(expected)
+                    assert _error(errors[row]) == expected
+                    raised.add(expected[0])
                 else:
                     assert _bits(values[:, row].tolist()) == expected
 
@@ -485,7 +515,7 @@ class TestRandomTreeWalkers:
             return roots + first + [d(e, v) for e in first for v in ("t", "x")]
 
         def program(family):
-            template, names, tape, roots, leaves = compile_family(family).columns.args[1]
+            template, names, tape, roots, leaves = compile_family(family).columns.args[0][:5]
             template = [None if value is None else _bits([value]) for value in template]
             return template, names, tape, roots, leaves.tolist()
 
@@ -576,15 +606,15 @@ class TestLazyRowErrors:
         coordinate = special | st.floats(-3.0, 3.0, allow_nan=False)
         rows = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12)
         odd = st.lists(st.sampled_from(_ODD_TREES), max_size=1)
-        walks = []
+        walks = []  # the rows the scalar run evaluates for the column run
         seen = set()
 
-        def counted(*args):
-            walks.append(args)
-            return walk(*args)
+        def counted(errors, row):
+            walks.append(row)
+            return evaluate_row(errors, row)
 
-        walk = expressions._evaluate_all
-        monkeypatch.setattr(expressions, "_evaluate_all", counted)
+        evaluate_row = expressions.RowErrors._evaluate
+        monkeypatch.setattr(expressions.RowErrors, "_evaluate", counted)
 
         @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
         @hypothesis.given(st.lists(_random_trees(st), min_size=1, max_size=3), odd, rows)
@@ -594,7 +624,7 @@ class TestLazyRowErrors:
             ts, xs = (np.array(column) for column in zip(*points))
             columns = {"t": ts, "x": xs}
             expected_values, expected_errors = _eager_column_run(
-                tuple(family), tape.columns.args[1][:4], columns
+                tuple(family), tape.columns.args[0][:4], columns
             )
             walks.clear()
             values, errors = tape.columns(columns)
@@ -614,8 +644,8 @@ class TestLazyRowErrors:
                     assert len(walks) <= 1
                     seen.add(len(walks) == 0)
             assert list(errors) == raising == list(expected_errors)
-            # a row whose inputs and constants are all finite is never walked
-            # by the run itself
+            # a row whose inputs and constants are all finite is never
+            # evaluated by the run itself
             finite = np.isfinite(ts) & np.isfinite(xs)
             if not extra:
                 assert eager <= np.count_nonzero(~finite)
